@@ -4,8 +4,9 @@
 //! tables [--quick] [ids…]
 //! ```
 //!
-//! With no ids, runs every experiment in DESIGN.md §4's index (fig1, t1-t9,
-//! f2). `--quick` uses the CI-sized sweeps. Independent experiments run in
+//! With no ids, runs every experiment of `ccq_core::experiments::registry()`
+//! (indexed by the table in `crates/core/src/experiments/mod.rs`). `--quick`
+//! uses the CI-sized sweeps. Independent experiments run in
 //! parallel (rayon); output order is deterministic.
 
 use ccq_core::experiments::{registry, Scale};

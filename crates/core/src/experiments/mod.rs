@@ -1,7 +1,7 @@
 //! One experiment driver per paper table/figure/theorem.
 //!
-//! Each driver regenerates the empirical analogue of a paper item (see
-//! DESIGN.md §4 for the index) and returns printable [`Table`]s pairing
+//! Each driver regenerates the empirical analogue of a paper item (see the
+//! index table below and [`registry`]) and returns printable [`Table`]s pairing
 //! measured total delays with the corresponding closed-form bounds.
 //!
 //! **Drivers run protocols through the registry, not by enum dispatch**:

@@ -15,8 +15,9 @@
 //!   [`run::run_best_counting`];
 //! * [`report`] — per-run summaries and queuing-vs-counting comparisons;
 //! * [`table`] — plain-text/markdown table rendering for the harness;
-//! * [`experiments`] — one driver per paper table/figure/theorem (see
-//!   DESIGN.md §4 for the experiment index).
+//! * [`experiments`] — one driver per paper table/figure/theorem (the
+//!   experiment index is the table in [`experiments`] and
+//!   [`experiments::registry`]).
 //!
 //! ## Quick start
 //!

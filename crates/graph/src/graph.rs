@@ -47,6 +47,7 @@ impl Graph {
     }
 
     /// Whether the undirected edge `{u, v}` is present.
+    #[inline]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.neighbors(u).binary_search(&v).is_ok()
     }

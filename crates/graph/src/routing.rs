@@ -10,6 +10,7 @@
 use crate::{NodeId, Tree};
 
 /// Constant-memory next-hop router over a [`Tree`].
+#[derive(Debug)]
 pub struct TreeRouter {
     parent: Vec<NodeId>,
     /// Children of each vertex ordered by DFS entry time.

@@ -9,12 +9,13 @@
 //! arrow protocol's Theorem 4.1 bound is compared.
 
 use crate::order::INITIAL_TOKEN;
-use ccq_graph::{path::RouteTable, Lca, NodeId, Tree};
+use ccq_graph::{NodeId, Tree, TreeRouter};
 use ccq_sim::{NodeSliced, Protocol, SimApi, SliceApi};
 
-/// Messages: request towards home, reply back to origin. Both are source
-/// routed (`route` indexes the protocol's [`RouteTable`], `idx` is the
-/// position of the node currently holding the message).
+/// Messages: request towards home, reply back to origin. Both follow the
+/// tree path of a route: `route` is its id (one per requester and
+/// direction, naming the path's target) and `idx` is the position on that
+/// path of the node currently holding the message.
 #[derive(Clone, Debug)]
 pub enum CentralQueueMsg {
     /// Request from `origin`, travelling to the home node.
@@ -27,7 +28,11 @@ pub enum CentralQueueMsg {
 #[derive(Debug)]
 pub struct CentralQueueShared {
     home: NodeId,
-    routes: RouteTable,
+    /// Next hops along the tree: `O(n)` memory however many requesters
+    /// route through it.
+    router: TreeRouter,
+    /// Target node of each route id.
+    targets: Vec<NodeId>,
     /// Route id from home back to each requester.
     from_home: Vec<usize>,
 }
@@ -56,22 +61,21 @@ impl CentralQueueProtocol {
     pub fn new(tree: &Tree, home: NodeId, requests: &[NodeId]) -> Self {
         let n = tree.n();
         assert!(home < n);
-        let lca = Lca::new(tree);
-        let _ = &lca; // routes use Tree::path; Lca kept for parity with docs
-        let mut routes = RouteTable::new();
+        // Two route ids per requester, in ascending requester order: the
+        // ids travel in messages, so their numbering is part of the output.
+        let mut targets = Vec::with_capacity(2 * requests.len());
         let mut to_home = vec![usize::MAX; n];
         let mut from_home = vec![usize::MAX; n];
         let mut requests = requests.to_vec();
         requests.sort_unstable();
         for &v in &requests {
-            let p = tree.path(v, home);
-            let mut rp = p.clone();
-            rp.reverse();
-            to_home[v] = routes.push(p);
-            from_home[v] = routes.push(rp);
+            to_home[v] = targets.len();
+            targets.push(home);
+            from_home[v] = targets.len();
+            targets.push(v);
         }
         CentralQueueProtocol {
-            shared: CentralQueueShared { home, routes, from_home },
+            shared: CentralQueueShared { home, router: TreeRouter::new(tree), targets, from_home },
             slices: (0..n).map(|_| CentralQueueSlice { last: INITIAL_TOKEN }).collect(),
             to_home,
             requests,
@@ -112,9 +116,9 @@ impl CentralQueueProtocol {
             CentralQueueMsg::Req { route, idx, .. } => (*route, *idx),
             CentralQueueMsg::Reply { route, idx, .. } => (*route, *idx),
         };
-        let path = shared.routes.get(route);
-        debug_assert_eq!(path[idx], at);
-        api.send(path[idx + 1], msg_with_idx(msg, idx + 1));
+        let next =
+            shared.router.next_hop(at, shared.targets[route]).expect("not yet at the target");
+        api.send(next, msg_with_idx(msg, idx + 1));
     }
 }
 
@@ -173,13 +177,11 @@ impl NodeSliced for CentralQueueProtocol {
     ) {
         match msg {
             CentralQueueMsg::Req { origin, route, idx } => {
-                let path = shared.routes.get(route);
-                if idx + 1 == path.len() {
-                    debug_assert_eq!(node, shared.home);
+                if node == shared.home {
                     let pred = slice.last;
                     slice.last = origin as u64;
                     let back = shared.from_home[origin];
-                    if shared.routes.get(back).len() == 1 {
+                    if origin == shared.home {
                         api.complete(origin, pred);
                     } else {
                         Self::forward(
@@ -194,8 +196,7 @@ impl NodeSliced for CentralQueueProtocol {
                 }
             }
             CentralQueueMsg::Reply { pred, route, idx } => {
-                let path = shared.routes.get(route);
-                if idx + 1 == path.len() {
+                if node == shared.targets[route] {
                     api.complete(node, pred);
                 } else {
                     Self::forward(shared, api, node, CentralQueueMsg::Reply { pred, route, idx });
@@ -253,6 +254,41 @@ mod tests {
         let rep = run_central(&t, 2, &[2]);
         assert_eq!(rep.completions[0].round, 0);
         assert_eq!(rep.messages_sent, 0);
+    }
+
+    /// A lone requester's request and reply hop along `Tree::path` to the
+    /// home and back, for every requester and several homes on a list, a
+    /// star, a binary tree and a random tree.
+    #[test]
+    fn hops_follow_the_tree_path() {
+        use ccq_graph::topology;
+        use ccq_sim::TraceKind;
+        let trees = [
+            spanning::path_tree_from_order(&[4, 9, 0, 7, 2, 8, 1, 6, 3, 5]),
+            spanning::star_tree(9, 4),
+            spanning::balanced_binary_tree(15),
+            spanning::bfs_tree(&topology::random_connected(24, 0.05, 7), 3),
+        ];
+        for t in &trees {
+            let g = t.to_graph();
+            let n = t.n();
+            for home in [0, n / 2, n - 1] {
+                for v in 0..n {
+                    let proto = CentralQueueProtocol::new(t, home, &[v]);
+                    let rep = run_protocol(&g, proto, SimConfig::strict().with_trace()).unwrap();
+                    let hops: Vec<(NodeId, NodeId)> = rep
+                        .trace
+                        .iter()
+                        .filter(|e| e.kind == TraceKind::Transmit)
+                        .map(|e| (e.node, e.peer))
+                        .collect();
+                    let (there, back) = (t.path(v, home), t.path(home, v));
+                    let want: Vec<(NodeId, NodeId)> =
+                        there.windows(2).chain(back.windows(2)).map(|w| (w[0], w[1])).collect();
+                    assert_eq!(hops, want, "requester {v}, home {home}, n = {n}");
+                }
+            }
+        }
     }
 
     #[test]

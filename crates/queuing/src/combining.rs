@@ -26,8 +26,13 @@ pub enum CombiningQueueMsg {
 #[derive(Debug)]
 pub struct CombiningQueueSlice {
     waiting: usize,
-    /// Preorder requester lists reported by children, by child slot.
+    /// Preorder requester lists reported by children, by child slot;
+    /// consumed when the node reports upward.
     child_lists: Vec<Vec<NodeId>>,
+    /// Lengths of the consumed child lists, by child slot: the Down wave
+    /// returns the node's list in the same order, so each child's share is
+    /// the next `child_len[slot]` assignments.
+    child_len: Vec<usize>,
     requesting: bool,
     /// Whether the node's own operation has been injected (deferred mode).
     issued: bool,
@@ -63,6 +68,7 @@ impl CombiningQueueProtocol {
             .map(|v| CombiningQueueSlice {
                 waiting: tree.children(v).len(),
                 child_lists: vec![Vec::new(); tree.children(v).len()],
+                child_len: Vec::new(),
                 requesting: requesting[v],
                 issued: false,
             })
@@ -95,14 +101,16 @@ impl CombiningQueueProtocol {
         slice.waiting == 0 && (!shared.defer_issue || !slice.requesting || slice.issued)
     }
 
-    /// Preorder requester list of `v`'s subtree (own request first).
-    fn subtree_list(slice: &CombiningQueueSlice, v: NodeId) -> Vec<NodeId> {
+    /// Preorder requester list of `v`'s subtree (own request first),
+    /// consuming the child lists and keeping their lengths.
+    fn take_subtree_list(slice: &mut CombiningQueueSlice, v: NodeId) -> Vec<NodeId> {
         let mut list = Vec::new();
         if slice.requesting {
             list.push(v);
         }
-        for cl in &slice.child_lists {
-            list.extend_from_slice(cl);
+        for cl in std::mem::take(&mut slice.child_lists) {
+            slice.child_len.push(cl.len());
+            list.extend(cl);
         }
         list
     }
@@ -113,7 +121,7 @@ impl CombiningQueueProtocol {
         api: &mut SliceApi<CombiningQueueMsg>,
         v: NodeId,
     ) {
-        let list = Self::subtree_list(slice, v);
+        let list = Self::take_subtree_list(slice, v);
         if v == shared.root {
             // Form the total order: initial token, then preorder.
             let assignments: Vec<(NodeId, u64)> = list
@@ -130,6 +138,10 @@ impl CombiningQueueProtocol {
         }
     }
 
+    /// Complete `v`'s own operation and pass each child its share of the
+    /// assignments. They arrive in the order of the list `v` reported up
+    /// (own request first, then each child's list by slot), so the split
+    /// is by contiguous runs.
     fn distribute(
         shared: &CombiningQueueShared,
         slice: &CombiningQueueSlice,
@@ -137,21 +149,18 @@ impl CombiningQueueProtocol {
         v: NodeId,
         assignments: Vec<(NodeId, u64)>,
     ) {
-        use std::collections::HashMap;
-        let by_node: HashMap<NodeId, u64> = assignments.iter().copied().collect();
+        let mut rest = assignments.into_iter();
         if slice.requesting {
-            let pred = by_node[&v];
+            let (node, pred) = rest.next().expect("own assignment comes first");
+            debug_assert_eq!(node, v);
             api.complete(v, pred);
         }
-        // Split the remaining assignments by child subtree (child lists are
-        // exactly the subtree memberships recorded on the way up).
-        for (slot, c) in shared.children[v].iter().enumerate() {
-            let subtree: Vec<(NodeId, u64)> =
-                slice.child_lists[slot].iter().map(|&node| (node, by_node[&node])).collect();
-            if !subtree.is_empty() {
-                api.send(*c, CombiningQueueMsg::Down(subtree));
+        for (&c, &len) in shared.children[v].iter().zip(&slice.child_len) {
+            if len > 0 {
+                api.send(c, CombiningQueueMsg::Down(rest.by_ref().take(len).collect()));
             }
         }
+        debug_assert!(rest.next().is_none(), "assignments beyond the subtree");
     }
 }
 
@@ -280,6 +289,149 @@ mod tests {
         let (rep, order) = run_cq(&t, &[4]);
         assert_eq!(order, vec![4]);
         assert_eq!(rep.completions[0].value, INITIAL_TOKEN);
+    }
+
+    /// Records the Down assignments each node receives, then hands the
+    /// message to the protocol.
+    struct DownLog {
+        inner: CombiningQueueProtocol,
+        downs: Vec<Option<Vec<(NodeId, u64)>>>,
+    }
+
+    impl Protocol for DownLog {
+        type Msg = CombiningQueueMsg;
+
+        fn on_start(&mut self, api: &mut SimApi<CombiningQueueMsg>) {
+            self.inner.on_start(api);
+        }
+
+        fn on_message(
+            &mut self,
+            api: &mut SimApi<CombiningQueueMsg>,
+            node: NodeId,
+            from: NodeId,
+            msg: CombiningQueueMsg,
+        ) {
+            if let CombiningQueueMsg::Down(a) = &msg {
+                assert!(self.downs[node].replace(a.clone()).is_none(), "second Down at {node}");
+            }
+            self.inner.on_message(api, node, from, msg);
+        }
+    }
+
+    impl ccq_sim::OnlineProtocol for DownLog {
+        fn issue(&mut self, api: &mut SimApi<CombiningQueueMsg>, node: NodeId) {
+            self.inner.issue(api, node);
+        }
+
+        fn cancel(&mut self, api: &mut SimApi<CombiningQueueMsg>, node: NodeId) {
+            self.inner.cancel(api, node);
+        }
+    }
+
+    /// Reference Down split: index the assignments by node, then look up
+    /// each child's recorded list. Returns the own predecessor and each
+    /// child's share, by slot.
+    fn hashmap_split(
+        child_lists: &[Vec<NodeId>],
+        requesting: bool,
+        v: NodeId,
+        assignments: &[(NodeId, u64)],
+    ) -> (Option<u64>, Vec<Vec<(NodeId, u64)>>) {
+        use std::collections::HashMap;
+        let by_node: HashMap<NodeId, u64> = assignments.iter().copied().collect();
+        let own = requesting.then(|| by_node[&v]);
+        let shares = child_lists
+            .iter()
+            .map(|list| list.iter().map(|&node| (node, by_node[&node])).collect())
+            .collect();
+        (own, shares)
+    }
+
+    /// On random trees with random request subsets, open arrivals and a
+    /// drop-tail bound that cancels the late requesters, every Down the
+    /// protocol delivers and every completion equal what the HashMap split
+    /// produces from the same Up lists.
+    #[test]
+    fn contiguous_down_split_matches_the_hashmap_split() {
+        use ccq_graph::topology;
+        use ccq_sim::{AdmissionPolicy, Paced, Simulator};
+        let mut x: u64 = 0x9e3779b97f4a7c15;
+        let mut rand = move |bound: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % bound as u64) as usize
+        };
+        for case in 0..40 {
+            let n = 1 + rand(40);
+            let root = rand(n);
+            let t = spanning::bfs_tree(&topology::random_connected(n, 0.08, case), root);
+            let requests: Vec<NodeId> = (0..n).filter(|_| rand(3) > 0).collect();
+            let schedule: Vec<(ccq_sim::Round, NodeId)> =
+                requests.iter().map(|&v| (rand(6) as ccq_sim::Round, v)).collect();
+            let bound = 1 + rand(requests.len() + 1);
+            let log = DownLog {
+                inner: CombiningQueueProtocol::new(&t, &requests).deferred(true),
+                downs: vec![None; n],
+            };
+            let paced =
+                Paced::new(log, schedule).with_admission(AdmissionPolicy::DropTail { bound });
+            let g = t.to_graph();
+            let (rep, paced) =
+                Simulator::new(&g, paced, SimConfig::strict()).run_with_state().unwrap();
+            let mut issued = vec![false; n];
+            for i in &rep.issues {
+                issued[i.node] = true;
+            }
+            assert_eq!(rep.issues.len() + rep.dropped.len(), requests.len());
+
+            // Up wave: each node's preorder list over the issued requesters.
+            fn up(
+                t: &Tree,
+                v: NodeId,
+                issued: &[bool],
+                lists: &mut [Vec<Vec<NodeId>>],
+            ) -> Vec<NodeId> {
+                let mut list: Vec<NodeId> = if issued[v] { vec![v] } else { Vec::new() };
+                for &c in t.children(v) {
+                    let child = up(t, c, issued, lists);
+                    list.extend_from_slice(&child);
+                    lists[v].push(child);
+                }
+                list
+            }
+            let mut child_lists = vec![Vec::new(); n];
+            let order = up(&t, root, &issued, &mut child_lists);
+            let chain: Vec<(NodeId, u64)> = order
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| (v, if i == 0 { INITIAL_TOKEN } else { order[i - 1] as u64 }))
+                .collect();
+
+            // Down wave through the reference split.
+            let mut want_downs: Vec<Option<Vec<(NodeId, u64)>>> = vec![None; n];
+            let mut want_completions = Vec::new();
+            let mut stack = vec![(root, chain)];
+            while let Some((v, assignments)) = stack.pop() {
+                let (own, shares) = hashmap_split(&child_lists[v], issued[v], v, &assignments);
+                if let Some(pred) = own {
+                    want_completions.push((v, pred));
+                }
+                for (&c, share) in t.children(v).iter().zip(shares) {
+                    if !share.is_empty() {
+                        want_downs[c] = Some(share.clone());
+                        stack.push((c, share));
+                    }
+                }
+            }
+            assert_eq!(paced.inner().downs, want_downs, "case {case}");
+            let mut got: Vec<(NodeId, u64)> =
+                rep.completions.iter().map(|c| (c.node, c.value)).collect();
+            got.sort_unstable();
+            want_completions.sort_unstable();
+            assert_eq!(got, want_completions, "case {case}");
+        }
     }
 
     #[test]

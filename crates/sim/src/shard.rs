@@ -80,8 +80,9 @@ use std::collections::HashMap;
 struct ShardState<M> {
     store: NodeStore<M>,
     transport: Transport<M>,
-    /// Reusable frontier scratch for the harvest phase (capacity retained
-    /// across rounds, so steady state allocates nothing here).
+    /// Reusable frontier scratch for the harvest and transmit phases
+    /// (capacity retained across rounds, so steady state allocates
+    /// nothing here).
     frontier: Vec<NodeId>,
 }
 
@@ -259,22 +260,38 @@ impl<M> Fabric<M> {
         }
     }
 
+    /// Take every shard's outbox frontier onto `out` in ascending node
+    /// order. Shards hold disjoint nodes and each frontier ascends, so a
+    /// merge of them visits exactly the nodes the dense `0..n` scan would
+    /// do work at, in the same order.
+    fn take_outbox_frontier(&mut self, out: &mut Vec<NodeId>) {
+        for shard in &mut self.shards {
+            shard.frontier.clear();
+            shard.store.take_outbox_frontier(&mut shard.frontier);
+            // Descending, so each shard's next node is its last.
+            shard.frontier.reverse();
+        }
+        while let Some((_, i)) = self
+            .shards
+            .iter()
+            .enumerate()
+            .filter_map(|(i, shard)| shard.frontier.last().map(|&v| (v, i)))
+            .min()
+        {
+            out.extend(self.shards[i].frontier.pop());
+        }
+    }
+
     /// Serialized transmit reference: global ascending node order assigns
     /// the run-global sequence numbers; cross-shard messages ride the
-    /// ferry, everything else stays on the shard's own transport. Shards
-    /// hold disjoint nodes, so concatenating the per-shard outbox
-    /// frontiers and sorting ascending visits exactly the nodes the dense
-    /// `0..n` scan would do work at, in the same order.
+    /// ferry, everything else stays on the shard's own transport.
     fn transmit_serial(&mut self, partition: &Partition, round: Round, cfg: &SimConfig) {
         let mut frontier = std::mem::take(&mut self.scratch);
         frontier.clear();
         if cfg.dense_scan {
             frontier.extend(0..partition.n());
         } else {
-            for shard in &mut self.shards {
-                shard.store.take_outbox_frontier(&mut frontier);
-            }
-            frontier.sort_unstable();
+            self.take_outbox_frontier(&mut frontier);
         }
         for &v in &frontier {
             if cfg.faults.is_down(v, round) {
@@ -350,10 +367,7 @@ impl<M> Fabric<M> {
         if cfg.dense_scan {
             frontier.extend(0..partition.n());
         } else {
-            for shard in &mut self.shards {
-                shard.store.take_outbox_frontier(&mut frontier);
-            }
-            frontier.sort_unstable();
+            self.take_outbox_frontier(&mut frontier);
         }
         // Claim pass (serial, cheap: one length lookup per frontier node).
         // One claim per transmitting node: `(node, sequence base, count)`.
@@ -537,7 +551,6 @@ where
                     frontier.extend_from_slice(partition.members(shard));
                 } else {
                     state.store.take_inport_frontier(&mut frontier);
-                    frontier.sort_unstable();
                 }
                 let mut batches = Vec::new();
                 let mut queue_wait = 0u64;
@@ -812,7 +825,6 @@ where
                             frontier.extend_from_slice(members);
                         } else {
                             state.store.take_inport_frontier(&mut frontier);
-                            frontier.sort_unstable();
                         }
                         for &v in &frontier {
                             if cfg.faults.is_down(v, round) {
@@ -1368,7 +1380,6 @@ fn run_shard_wave<P: NodeSliced>(
             frontier.extend_from_slice(members);
         } else {
             state.store.take_inport_frontier(&mut frontier);
-            frontier.sort_unstable();
         }
         for &v in &frontier {
             let idx = members.binary_search(&v).expect("frontier nodes are shard members");
@@ -1410,7 +1421,6 @@ fn run_shard_wave<P: NodeSliced>(
             frontier.extend_from_slice(members);
         } else {
             state.store.take_outbox_frontier(&mut frontier);
-            frontier.sort_unstable();
         }
         for &v in &frontier {
             if cfg.probe.skips_transmit(r, v) {

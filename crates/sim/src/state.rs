@@ -13,13 +13,17 @@
 //!   contention ([`crate::SimReport::queue_wait_rounds`] and the depth
 //!   high-water marks);
 //! * **frontier coverage** — every processor with a nonempty queue is on
-//!   the corresponding dirty list ([`NodeStore::take_inport_frontier`] /
-//!   [`NodeStore::take_outbox_frontier`]), so a round loop that visits only
-//!   the frontier visits every processor the dense `0..n` scan would have
-//!   done any work at. Stale frontier entries (listed but since drained)
-//!   are permitted: visiting them pops nothing and has no observable
-//!   effect, which is why frontier-driven execution is byte-identical to
-//!   the dense scan.
+//!   the corresponding dirty frontier ([`NodeStore::take_inport_frontier`]
+//!   / [`NodeStore::take_outbox_frontier`]), so a round loop that visits
+//!   only the frontier visits every processor the dense `0..n` scan would
+//!   have done any work at. Stale frontier entries (listed but since
+//!   drained) are permitted: visiting them pops nothing and has no
+//!   observable effect, which is why frontier-driven execution is
+//!   byte-identical to the dense scan;
+//! * **frontier order** — a frontier is taken in ascending global id
+//!   order, each member at most once: the dense scan's visit order, with
+//!   no sort in the round loop. Each frontier is a two-level bitset over
+//!   queue slots, and slots ascend with global ids.
 //!
 //! A store is sized either to the full processor range
 //! ([`NodeStore::new`], the monolithic executor) or to an explicit shard
@@ -46,13 +50,71 @@ pub struct Inbound<M> {
 }
 
 /// Global id → queue slot map: identity for full-range stores,
-/// an index map for membership-sized ones.
+/// an index map for membership-sized ones. Slots ascend with global ids
+/// in both, which is what lets a frontier come out in id order.
 #[derive(Debug)]
 enum Slots {
     /// Slot `v` holds processor `v`; every processor is a member.
     Dense,
-    /// Membership-sized: `ids[slot]` is the global id, `index` inverts it.
+    /// Membership-sized: `ids[slot]` is the global id (ascending), `index`
+    /// inverts it.
     Mapped { ids: Vec<NodeId>, index: HashMap<NodeId, usize> },
+}
+
+impl Slots {
+    /// Global id held by queue slot `s`.
+    #[inline]
+    fn global_of(&self, s: usize) -> NodeId {
+        match self {
+            Slots::Dense => s,
+            Slots::Mapped { ids, .. } => ids[s],
+        }
+    }
+}
+
+/// A set of queue slots, taken in ascending order: a two-level bitset with
+/// one bit per slot in `words` and one bit per nonzero word in `summary`.
+/// Taking the set costs one summary word per 4096 slots plus the set bits.
+#[derive(Debug)]
+struct Frontier {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl Frontier {
+    /// An empty set over `slots` slots.
+    fn new(slots: usize) -> Self {
+        let words = slots.div_ceil(64);
+        Frontier { words: vec![0; words], summary: vec![0; words.div_ceil(64)] }
+    }
+
+    #[inline]
+    fn insert(&mut self, s: usize) {
+        let w = s / 64;
+        self.words[w] |= 1 << (s % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+    }
+
+    #[cfg(test)]
+    fn contains(&self, s: usize) -> bool {
+        self.words[s / 64] & (1 << (s % 64)) != 0
+    }
+
+    /// Empty the set, yielding its slots in ascending order.
+    fn take(&mut self, mut yield_slot: impl FnMut(usize)) {
+        for (i, summary) in self.summary.iter_mut().enumerate() {
+            let mut nonzero = std::mem::take(summary);
+            while nonzero != 0 {
+                let w = i * 64 + nonzero.trailing_zeros() as usize;
+                nonzero &= nonzero - 1;
+                let mut bits = std::mem::take(&mut self.words[w]);
+                while bits != 0 {
+                    yield_slot(w * 64 + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
 }
 
 /// In-ports and outboxes for the processors a store is responsible for.
@@ -63,13 +125,10 @@ pub struct NodeStore<M> {
     slots: Slots,
     outbox: Vec<VecDeque<(NodeId, M)>>,
     inport: Vec<VecDeque<Inbound<M>>>,
-    /// Dirty frontiers: global ids of members whose queue went nonempty
-    /// since the list was last taken. `listed` flags (per slot) keep each
-    /// member on a list at most once.
-    outbox_dirty: Vec<NodeId>,
-    inport_dirty: Vec<NodeId>,
-    outbox_listed: Vec<bool>,
-    inport_listed: Vec<bool>,
+    /// Dirty frontiers: slots of members whose queue went nonempty since
+    /// the frontier was last taken.
+    outbox_dirty: Frontier,
+    inport_dirty: Frontier,
     /// Count of nonempty queues (both kinds) — O(1) idle detection.
     nonempty: usize,
 }
@@ -82,10 +141,8 @@ impl<M> NodeStore<M> {
             slots: Slots::Dense,
             outbox: (0..n).map(|_| VecDeque::new()).collect(),
             inport: (0..n).map(|_| VecDeque::new()).collect(),
-            outbox_dirty: Vec::new(),
-            inport_dirty: Vec::new(),
-            outbox_listed: vec![false; n],
-            inport_listed: vec![false; n],
+            outbox_dirty: Frontier::new(n),
+            inport_dirty: Frontier::new(n),
             nonempty: 0,
         }
     }
@@ -93,20 +150,21 @@ impl<M> NodeStore<M> {
     /// Empty queues for the `members` of an `n`-processor topology only
     /// (shard-local stores). Reads of non-member queues yield empty;
     /// staging or enqueuing at a non-member is a caller bug and panics.
+    /// `members` must be strictly ascending (as
+    /// [`ccq_graph::Partition::members`] is), so that frontiers come out in
+    /// id order.
     pub fn with_members(n: usize, members: &[NodeId]) -> Self {
+        debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members must ascend");
         let m = members.len();
         let index: HashMap<NodeId, usize> =
             members.iter().enumerate().map(|(slot, &v)| (v, slot)).collect();
-        debug_assert_eq!(index.len(), m, "duplicate member ids");
         NodeStore {
             n,
             slots: Slots::Mapped { ids: members.to_vec(), index },
             outbox: (0..m).map(|_| VecDeque::new()).collect(),
             inport: (0..m).map(|_| VecDeque::new()).collect(),
-            outbox_dirty: Vec::new(),
-            inport_dirty: Vec::new(),
-            outbox_listed: vec![false; m],
-            inport_listed: vec![false; m],
+            outbox_dirty: Frontier::new(m),
+            inport_dirty: Frontier::new(m),
             nonempty: 0,
         }
     }
@@ -119,14 +177,6 @@ impl<M> NodeStore<M> {
         }
     }
 
-    /// Global id held by queue slot `s`.
-    fn global_of(&self, s: usize) -> NodeId {
-        match &self.slots {
-            Slots::Dense => s,
-            Slots::Mapped { ids, .. } => ids[s],
-        }
-    }
-
     /// Stage a send in `from`'s outbox; returns the new outbox depth.
     pub fn stage(&mut self, from: NodeId, to: NodeId, msg: M) -> usize {
         let s = self.slot(from).expect("staged a send at a non-member processor");
@@ -134,10 +184,7 @@ impl<M> NodeStore<M> {
         if self.outbox[s].len() == 1 {
             self.nonempty += 1;
         }
-        if !self.outbox_listed[s] {
-            self.outbox_listed[s] = true;
-            self.outbox_dirty.push(from);
-        }
+        self.outbox_dirty.insert(s);
         self.outbox[s].len()
     }
 
@@ -148,10 +195,7 @@ impl<M> NodeStore<M> {
         if self.inport[s].len() == 1 {
             self.nonempty += 1;
         }
-        if !self.inport_listed[s] {
-            self.inport_listed[s] = true;
-            self.inport_dirty.push(dst);
-        }
+        self.inport_dirty.insert(s);
         self.inport[s].len()
     }
 
@@ -163,9 +207,8 @@ impl<M> NodeStore<M> {
         let popped = self.inport[s].pop_front()?;
         if self.inport[s].is_empty() {
             self.nonempty -= 1;
-        } else if !self.inport_listed[s] {
-            self.inport_listed[s] = true;
-            self.inport_dirty.push(v);
+        } else {
+            self.inport_dirty.insert(s);
         }
         Some(popped)
     }
@@ -177,37 +220,26 @@ impl<M> NodeStore<M> {
         let popped = self.outbox[s].pop_front()?;
         if self.outbox[s].is_empty() {
             self.nonempty -= 1;
-        } else if !self.outbox_listed[s] {
-            self.outbox_listed[s] = true;
-            self.outbox_dirty.push(v);
+        } else {
+            self.outbox_dirty.insert(s);
         }
         Some(popped)
     }
 
-    /// Drain the in-port frontier into `out` (global ids, unsorted; a
-    /// member appears at most once). Every member with a nonempty in-port
-    /// is included; members drained since listing may also appear and pop
-    /// nothing.
+    /// Drain the in-port frontier onto `out` as global ids in ascending
+    /// order, each member at most once. Every member with a nonempty
+    /// in-port is included; members drained since listing may also appear
+    /// and pop nothing.
     pub fn take_inport_frontier(&mut self, out: &mut Vec<NodeId>) {
-        let mut dirty = std::mem::take(&mut self.inport_dirty);
-        for &v in &dirty {
-            let s = self.slot(v).expect("frontier entries are members");
-            self.inport_listed[s] = false;
-        }
-        out.append(&mut dirty);
-        self.inport_dirty = dirty;
+        let slots = &self.slots;
+        self.inport_dirty.take(|s| out.push(slots.global_of(s)));
     }
 
-    /// Drain the outbox frontier into `out`; see
+    /// Drain the outbox frontier onto `out`; see
     /// [`NodeStore::take_inport_frontier`].
     pub fn take_outbox_frontier(&mut self, out: &mut Vec<NodeId>) {
-        let mut dirty = std::mem::take(&mut self.outbox_dirty);
-        for &v in &dirty {
-            let s = self.slot(v).expect("frontier entries are members");
-            self.outbox_listed[s] = false;
-        }
-        out.append(&mut dirty);
-        self.outbox_dirty = dirty;
+        let slots = &self.slots;
+        self.outbox_dirty.take(|s| out.push(slots.global_of(s)));
     }
 
     /// Put `v` back on the outbox frontier if it still has staged sends
@@ -215,9 +247,8 @@ impl<M> NodeStore<M> {
     /// the probe layer's planted perturbation).
     pub fn relist_outbox(&mut self, v: NodeId) {
         if let Some(s) = self.slot(v) {
-            if !self.outbox[s].is_empty() && !self.outbox_listed[s] {
-                self.outbox_listed[s] = true;
-                self.outbox_dirty.push(v);
+            if !self.outbox[s].is_empty() {
+                self.outbox_dirty.insert(s);
             }
         }
     }
@@ -228,9 +259,8 @@ impl<M> NodeStore<M> {
     /// recovery round).
     pub fn relist_inport(&mut self, v: NodeId) {
         if let Some(s) = self.slot(v) {
-            if !self.inport[s].is_empty() && !self.inport_listed[s] {
-                self.inport_listed[s] = true;
-                self.inport_dirty.push(v);
+            if !self.inport[s].is_empty() {
+                self.inport_dirty.insert(s);
             }
         }
     }
@@ -247,8 +277,8 @@ impl<M> NodeStore<M> {
         self.n
     }
 
-    /// Members with at least one nonempty queue, as global ids (unordered
-    /// for membership-sized stores; callers sort). The probe layer's
+    /// Members with at least one nonempty queue, as ascending global ids
+    /// (callers merging several stores sort the union). The probe layer's
     /// canonical renderer uses this to visit occupied processors instead
     /// of scanning `0..n`.
     pub fn occupied_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
@@ -256,7 +286,7 @@ impl<M> NodeStore<M> {
             if self.inport[s].is_empty() && self.outbox[s].is_empty() {
                 None
             } else {
-                Some(self.global_of(s))
+                Some(self.slots.global_of(s))
             }
         })
     }
@@ -345,15 +375,160 @@ mod tests {
             for v in 0..8 {
                 if s.inport_of(v).next().is_some() {
                     assert!(
-                        s.inport_dirty.contains(&v),
+                        s.inport_dirty.contains(v),
                         "nonempty in-port {v} missing from frontier"
                     );
                 }
                 if s.outbox_of(v).next().is_some() {
                     assert!(
-                        s.outbox_dirty.contains(&v),
+                        s.outbox_dirty.contains(v),
                         "nonempty outbox {v} missing from frontier"
                     );
+                }
+            }
+        }
+    }
+
+    /// Reference model of the frontier rules, as a dirty list + per-slot
+    /// flag + sort: a member is listed when its queue is staged or
+    /// enqueued into, when a pop leaves it nonempty, and when a re-list
+    /// finds it nonempty; taking yields each listed member once, ascending.
+    struct ListModel {
+        members: Vec<NodeId>,
+        len: Vec<usize>,
+        listed: Vec<bool>,
+        dirty: Vec<NodeId>,
+    }
+
+    impl ListModel {
+        fn new(members: Vec<NodeId>) -> Self {
+            let m = members.len();
+            ListModel { members, len: vec![0; m], listed: vec![false; m], dirty: Vec::new() }
+        }
+
+        fn slot(&self, v: NodeId) -> Option<usize> {
+            self.members.binary_search(&v).ok()
+        }
+
+        fn list(&mut self, s: usize) {
+            if !self.listed[s] {
+                self.listed[s] = true;
+                self.dirty.push(self.members[s]);
+            }
+        }
+
+        fn push(&mut self, v: NodeId) {
+            let s = self.slot(v).expect("pushes go to members");
+            self.len[s] += 1;
+            self.list(s);
+        }
+
+        fn pop(&mut self, v: NodeId) {
+            if let Some(s) = self.slot(v) {
+                if self.len[s] > 0 {
+                    self.len[s] -= 1;
+                    if self.len[s] > 0 {
+                        self.list(s);
+                    }
+                }
+            }
+        }
+
+        fn relist(&mut self, v: NodeId) {
+            if let Some(s) = self.slot(v) {
+                if self.len[s] > 0 {
+                    self.list(s);
+                }
+            }
+        }
+
+        fn take(&mut self) -> Vec<NodeId> {
+            for &v in &self.dirty {
+                let s = self.slot(v).expect("listed members");
+                self.listed[s] = false;
+            }
+            let mut out = std::mem::take(&mut self.dirty);
+            out.sort_unstable();
+            out
+        }
+    }
+
+    /// Random stage/enqueue/pop/re-list/take interleavings on dense and
+    /// membership-sized stores (sizes crossing the 64- and 4096-slot
+    /// word boundaries): every taken frontier equals the list model's
+    /// sorted, de-duplicated dirty list.
+    #[test]
+    fn bitset_frontier_matches_the_sorted_dirty_list() {
+        let mut x: u64 = 0x2545f4914f6cdd1d;
+        let mut rand = move |bound: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % bound as u64) as usize
+        };
+        for case in 0..48 {
+            let n = [1, 7, 64, 65, 300, 4096, 4097, 9000][case % 8];
+            let dense = case % 2 == 0;
+            let members: Vec<NodeId> =
+                if dense { (0..n).collect() } else { (0..n).filter(|_| rand(3) == 0).collect() };
+            if members.is_empty() {
+                continue;
+            }
+            let mut store: NodeStore<u32> =
+                if dense { NodeStore::new(n) } else { NodeStore::with_members(n, &members) };
+            let mut inport = ListModel::new(members.clone());
+            let mut outbox = ListModel::new(members.clone());
+            // Activity concentrates on a few hot members, as in a round
+            // loop, with occasional touches anywhere in `0..n`.
+            let hot: Vec<NodeId> = (0..8).map(|_| members[rand(members.len())]).collect();
+            let mut front = Vec::new();
+            for step in 0..2000u32 {
+                let member = if rand(4) == 0 { members[rand(members.len())] } else { hot[rand(8)] };
+                let any = rand(n);
+                match rand(9) {
+                    0 | 1 => {
+                        store.stage(member, any, step);
+                        outbox.push(member);
+                    }
+                    2 | 3 => {
+                        store.enqueue(member, Inbound { src: any, arrival: 0, msg: step });
+                        inport.push(member);
+                    }
+                    4 => {
+                        let v = if rand(2) == 0 { member } else { any };
+                        let _ = store.pop_outbox(v);
+                        outbox.pop(v);
+                    }
+                    5 => {
+                        let v = if rand(2) == 0 { member } else { any };
+                        let _ = store.pop_inport(v);
+                        inport.pop(v);
+                    }
+                    6 => {
+                        let v = if rand(2) == 0 { member } else { any };
+                        store.relist_outbox(v);
+                        outbox.relist(v);
+                        store.relist_inport(v);
+                        inport.relist(v);
+                    }
+                    7 => {
+                        front.clear();
+                        store.take_outbox_frontier(&mut front);
+                        assert_eq!(
+                            front,
+                            outbox.take(),
+                            "outbox frontier, case {case} step {step}"
+                        );
+                    }
+                    _ => {
+                        front.clear();
+                        store.take_inport_frontier(&mut front);
+                        assert_eq!(
+                            front,
+                            inport.take(),
+                            "in-port frontier, case {case} step {step}"
+                        );
+                    }
                 }
             }
         }

@@ -20,6 +20,14 @@
 //!   number is assigned by the scheduler (globally, across *all* transports
 //!   of a run), which is what makes a sharded run with per-shard transports
 //!   reproduce the single-transport execution exactly.
+//!
+//! The wheel is a ring of 64 per-round batches covering the arrival
+//! rounds `base..base + 64`, where `base` is the first round not yet
+//! drained, plus an ordered overflow map for arrivals outside that window
+//! (large fixed delays, wide jitter). `base` only grows, so every overflow
+//! wire due at round `r` was transmitted — and numbered — before any ring
+//! wire due at `r`: draining a round's overflow batch before its ring batch
+//! keeps the (arrival, sequence) order.
 
 use crate::report::LinkDelay;
 use crate::Round;
@@ -41,29 +49,39 @@ pub struct Wire<M> {
     pub msg: M,
 }
 
-/// Batch `Vec`s kept around for reuse after their wires drained — bounds
-/// the freelist so bursty rounds cannot pin arbitrary memory.
-const SPARE_BATCHES: usize = 8;
+/// Arrival rounds the ring covers; farther arrivals wait in the overflow.
+const RING: Round = 64;
 
 /// Scheduler of in-flight messages under one delay policy.
 #[derive(Debug)]
 pub struct Transport<M> {
     delay: LinkDelay,
-    /// Timing wheel: in-flight messages keyed by arrival round; each batch
-    /// is in transmission (= sequence) order.
-    inflight: BTreeMap<Round, Vec<Wire<M>>>,
+    /// First arrival round not yet drained: the ring's window start.
+    base: Round,
+    /// `ring[r % RING]` holds the wires arriving at round `r` for `r` in
+    /// `base..base + RING`, in transmission (= sequence) order. Drained
+    /// slots keep their capacity, so steady state does not allocate.
+    ring: Vec<Vec<Wire<M>>>,
+    /// Number of wires in the ring.
+    ring_len: usize,
+    /// Wires arriving outside the ring's window, keyed by arrival round;
+    /// each batch is in transmission order.
+    overflow: BTreeMap<Round, Vec<Wire<M>>>,
     /// Per-directed-link last scheduled arrival (FIFO clamp under jitter).
     link_last: HashMap<(NodeId, NodeId), Round>,
-    /// Recycled batch `Vec`s (drained, capacity retained): steady state
-    /// moves batches between the wheel and this freelist without touching
-    /// the allocator.
-    spare: Vec<Vec<Wire<M>>>,
 }
 
 impl<M> Transport<M> {
     /// An idle transport under `delay`.
     pub fn new(delay: LinkDelay) -> Self {
-        Transport { delay, inflight: BTreeMap::new(), link_last: HashMap::new(), spare: Vec::new() }
+        Transport {
+            delay,
+            base: 0,
+            ring: (0..RING).map(|_| Vec::new()).collect(),
+            ring_len: 0,
+            overflow: BTreeMap::new(),
+            link_last: HashMap::new(),
+        }
     }
 
     /// Place a message on the wire at `round`. `seq` is the run-global
@@ -78,30 +96,51 @@ impl<M> Transport<M> {
             *slot = arrival;
         }
         let wire = Wire { src, dst, arrival, seq, msg };
-        match self.inflight.entry(arrival) {
-            std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().push(wire),
-            std::collections::btree_map::Entry::Vacant(e) => {
-                let mut batch = self.spare.pop().unwrap_or_default();
-                batch.push(wire);
-                e.insert(batch);
-            }
+        if arrival >= self.base && arrival - self.base < RING {
+            self.ring[(arrival % RING) as usize].push(wire);
+            self.ring_len += 1;
+        } else {
+            self.overflow.entry(arrival).or_default().push(wire);
         }
     }
 
     /// Remove and yield every wire due at or before `round`, in
     /// (arrival round, sequence) order.
     pub fn drain_due(&mut self, round: Round, mut sink: impl FnMut(Wire<M>)) {
-        while let Some((&r, _)) = self.inflight.first_key_value() {
-            if r > round {
+        loop {
+            let far = self.overflow.first_key_value().map(|(&r, _)| r);
+            // The earliest round that may hold wires. With the ring empty
+            // an idle gap is skipped in one step.
+            let next = match (self.ring_len > 0, far) {
+                (true, Some(f)) => f.min(self.base),
+                (true, None) => self.base,
+                (false, Some(f)) => f,
+                (false, None) => break,
+            };
+            if next > round {
                 break;
             }
-            let mut batch = self.inflight.remove(&r).expect("checked key");
-            for w in batch.drain(..) {
-                sink(w);
+            if far == Some(next) {
+                for w in self.overflow.remove(&next).expect("checked key") {
+                    sink(w);
+                }
             }
-            if self.spare.len() < SPARE_BATCHES {
-                self.spare.push(batch);
+            if next >= self.base {
+                let slot = &mut self.ring[(next % RING) as usize];
+                self.ring_len -= slot.len();
+                for w in slot.drain(..) {
+                    sink(w);
+                }
+                if next == Round::MAX {
+                    break;
+                }
+                self.base = next + 1;
             }
+        }
+        if self.ring_len == 0 {
+            // Nothing is due before `round + 1`: move the window there so
+            // the next round's transmissions land in the ring.
+            self.base = self.base.max(round.saturating_add(1));
         }
     }
 
@@ -111,7 +150,7 @@ impl<M> Transport<M> {
     /// the mapping must be order-preserving within each arrival batch
     /// (batches stay in transmission order and are never re-sorted).
     pub fn remap_seqs(&mut self, mut f: impl FnMut(u64) -> u64) {
-        for batch in self.inflight.values_mut() {
+        for batch in self.overflow.values_mut().chain(self.ring.iter_mut()) {
             for w in batch.iter_mut() {
                 w.seq = f(w.seq);
             }
@@ -120,16 +159,16 @@ impl<M> Transport<M> {
 
     /// Whether nothing is in flight.
     pub fn is_idle(&self) -> bool {
-        self.inflight.is_empty()
+        self.ring_len == 0 && self.overflow.is_empty()
     }
 
-    /// Read-only view of every in-flight wire, in (arrival round, insertion)
-    /// order — deterministic because the wheel is a `BTreeMap` and batches
-    /// are in transmission order. The probe layer's canonical-state
-    /// renderer merges and re-sorts wires across transports, so the
-    /// per-transport order here only needs to be stable.
+    /// Read-only view of every in-flight wire, batch by batch in
+    /// transmission order; the batch order is stable but not by arrival.
+    /// The probe layer's canonical-state renderer merges and re-sorts
+    /// wires across transports, so the per-transport order here only
+    /// needs to be stable.
     pub fn wires(&self) -> impl Iterator<Item = &Wire<M>> {
-        self.inflight.values().flatten()
+        self.overflow.values().chain(self.ring.iter()).flatten()
     }
 }
 
@@ -159,6 +198,76 @@ mod tests {
         t.transmit(0, 2, 11, 1, 2); // arrives at 3
         t.transmit(1, 2, 12, 0, 3); // arrives at 2 — later seq, same round
         assert_eq!(arrivals(&mut t, 3), vec![(1, 1, 10), (2, 3, 12), (2, 2, 11)]);
+    }
+
+    /// The wheel against a plain `BTreeMap<arrival, batch>` model under
+    /// every delay policy: random traffic on a small graph, rounds that
+    /// mostly step by one but sometimes jump (idle fast-forwards, and gaps
+    /// with wires still in flight), and a final `drain_due(u64::MAX)`.
+    /// Every drain yields the model's wires in the same order, and the
+    /// in-flight set and idleness agree after each round.
+    #[test]
+    fn ring_and_overflow_match_a_btreemap_model() {
+        type Key = (Round, u64, NodeId, NodeId, u32);
+        let policies = [
+            LinkDelay::Unit,
+            LinkDelay::Fixed { delay: 1000 },
+            LinkDelay::PerLink { max: 90, seed: 5 },
+            LinkDelay::Jitter { max: 3, seed: 7 },
+            LinkDelay::Jitter { max: u64::MAX / 2, seed: 9 },
+        ];
+        let mut x: u64 = 0x853c49e6748fea9b;
+        let mut rand = move |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        for (case, delay) in policies.iter().cycle().take(20).enumerate() {
+            let mut t: Transport<u32> = Transport::new(*delay);
+            let mut model: BTreeMap<Round, Vec<Key>> = BTreeMap::new();
+            let mut link_last: HashMap<(NodeId, NodeId), Round> = HashMap::new();
+            let (mut round, mut seq) = (0, 0u64);
+            for _ in 0..400 {
+                round += match rand(10) {
+                    0 => 64 + rand(5000),
+                    1 => 2 + rand(70),
+                    _ => 1,
+                };
+                let mut got = Vec::new();
+                t.drain_due(round, |w| got.push((w.arrival, w.seq, w.src, w.dst, w.msg)));
+                let mut want = Vec::new();
+                while model.first_key_value().is_some_and(|(&r, _)| r <= round) {
+                    want.extend(model.pop_first().expect("nonempty").1);
+                }
+                assert_eq!(got, want, "case {case} ({delay:?}), drain at round {round}");
+                for _ in 0..rand(12) {
+                    let (src, dst) = (rand(6) as NodeId, rand(6) as NodeId);
+                    seq += 1;
+                    let msg = seq as u32;
+                    t.transmit(src, dst, msg, round, seq);
+                    let mut arrival = round + delay.delay_of(src, dst, seq);
+                    if delay.varies_per_message() {
+                        let last = link_last.entry((src, dst)).or_insert(0);
+                        arrival = arrival.max(*last);
+                        *last = arrival;
+                    }
+                    model.entry(arrival).or_default().push((arrival, seq, src, dst, msg));
+                }
+                let mut inflight: Vec<Key> =
+                    t.wires().map(|w| (w.arrival, w.seq, w.src, w.dst, w.msg)).collect();
+                inflight.sort_unstable();
+                let want: Vec<Key> = model.values().flatten().copied().collect();
+                assert_eq!(inflight, want, "case {case} ({delay:?}), in flight at round {round}");
+                assert_eq!(t.is_idle(), model.is_empty());
+            }
+            let mut got = Vec::new();
+            t.drain_due(u64::MAX, |w| got.push((w.arrival, w.seq, w.src, w.dst, w.msg)));
+            let want: Vec<Key> = std::mem::take(&mut model).into_values().flatten().collect();
+            assert_eq!(got, want, "case {case} ({delay:?}), final drain");
+            assert!(t.is_idle());
+            t.drain_due(u64::MAX, |_| panic!("nothing left in flight"));
+        }
     }
 
     #[test]
