@@ -94,6 +94,12 @@ impl GraphBuilder {
         Self { n, edges: Vec::new() }
     }
 
+    /// Builder with room for `edges` edges, so a generator that knows its
+    /// edge count never regrows the list.
+    pub(crate) fn with_capacity(n: usize, edges: usize) -> Self {
+        Self { n, edges: Vec::with_capacity(edges) }
+    }
+
     /// Add the undirected edge `{u, v}`.
     ///
     /// # Panics
@@ -112,35 +118,51 @@ impl GraphBuilder {
     }
 
     /// Finalize into a [`Graph`], deduplicating edges.
-    pub fn build(mut self) -> Graph {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        let mut deg = vec![0usize; self.n];
-        for &(u, v) in &self.edges {
-            deg[u] += 1;
-            deg[v] += 1;
+    ///
+    /// `O(n + m)` apart from sorting each vertex's short bucket: count both
+    /// directions of every edge per source vertex, scatter each edge into its
+    /// source's bucket, then sort, deduplicate and compact the buckets in
+    /// place.
+    pub fn build(self) -> Graph {
+        let GraphBuilder { n, edges } = self;
+        // `offsets[u + 1]` counts u's edge ends; the prefix sum turns it into
+        // the start of u's bucket, which then serves as u's scatter cursor.
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in &edges {
+            offsets[u + 1] += 1;
+            offsets[v + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(self.n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for d in &deg {
-            acc += d;
-            offsets.push(acc);
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
-        let mut cursor = offsets.clone();
-        let mut adj = vec![0 as NodeId; acc];
-        for &(u, v) in &self.edges {
-            adj[cursor[u]] = v;
-            cursor[u] += 1;
-            adj[cursor[v]] = u;
-            cursor[v] += 1;
+        let mut adj = vec![0 as NodeId; offsets[n]];
+        for &(u, v) in &edges {
+            adj[offsets[u]] = v;
+            offsets[u] += 1;
+            adj[offsets[v]] = u;
+            offsets[v] += 1;
         }
-        // Each vertex's slice is already sorted because edges were sorted by
-        // (min, max) — but the v-side insertions are not. Sort each slice.
-        for v in 0..self.n {
-            adj[offsets[v]..offsets[v + 1]].sort_unstable();
+        drop(edges);
+        // Each cursor now sits at the end of its bucket, i.e. the start of
+        // the next one: shifting by one slot restores the bucket starts.
+        offsets.rotate_right(1);
+        offsets[0] = 0;
+        let mut kept = 0;
+        for v in 0..n {
+            let (start, end) = (offsets[v], offsets[v + 1]);
+            adj[start..end].sort_unstable();
+            offsets[v] = kept;
+            for i in start..end {
+                if i == start || adj[i] != adj[kept - 1] {
+                    adj[kept] = adj[i];
+                    kept += 1;
+                }
+            }
         }
-        Graph { n: self.n, offsets, adj }
+        offsets[n] = kept;
+        adj.truncate(kept);
+        adj.shrink_to_fit();
+        Graph { n, offsets, adj }
     }
 }
 
@@ -158,6 +180,76 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::prelude::*;
+    use rand::rngs::StdRng;
+
+    /// The global-sort build that the bucketed [`GraphBuilder::build`]
+    /// replaced, kept as its reference.
+    fn reference_build(n: usize, edges: &[(NodeId, NodeId)]) -> Graph {
+        let mut edges: Vec<_> = edges.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+        edges.sort_unstable();
+        edges.dedup();
+        let mut deg = vec![0usize; n];
+        for &(u, v) in &edges {
+            deg[u] += 1;
+            deg[v] += 1;
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut acc = 0usize;
+        offsets.push(0);
+        for d in &deg {
+            acc += d;
+            offsets.push(acc);
+        }
+        let mut cursor = offsets.clone();
+        let mut adj = vec![0 as NodeId; acc];
+        for &(u, v) in &edges {
+            adj[cursor[u]] = v;
+            cursor[u] += 1;
+            adj[cursor[v]] = u;
+            cursor[v] += 1;
+        }
+        for v in 0..n {
+            adj[offsets[v]..offsets[v + 1]].sort_unstable();
+        }
+        Graph { n, offsets, adj }
+    }
+
+    #[test]
+    fn bucketed_build_matches_the_global_sort_build() {
+        let mut rng = StdRng::seed_from_u64(0x6ea9);
+        for _ in 0..500 {
+            let n = rng.random_range(0..40usize);
+            // Endpoints come from a prefix of the vertices, so the rest are
+            // isolated.
+            let span = rng.random_range(0..n + 1);
+            let mut edges = Vec::new();
+            if span >= 2 {
+                for _ in 0..rng.random_range(0..3 * span) {
+                    let u = rng.random_range(0..span);
+                    let v = rng.random_range(0..span);
+                    if u == v {
+                        continue;
+                    }
+                    edges.push((u, v));
+                    match rng.random_range(0..4) {
+                        0 => edges.push((u, v)),
+                        1 => edges.push((v, u)),
+                        _ => {}
+                    }
+                }
+            }
+            edges.shuffle(&mut rng);
+            let got = Graph::from_edges(n, &edges);
+            let want = reference_build(n, &edges);
+            assert_eq!(got.m(), want.m(), "n={n} edges={edges:?}");
+            for v in 0..n {
+                assert_eq!(got.neighbors(v), want.neighbors(v), "n={n} v={v} edges={edges:?}");
+            }
+            assert_eq!(got.offsets, want.offsets);
+            assert_eq!(got.adj, want.adj);
+        }
+    }
 
     #[test]
     fn empty_graph() {

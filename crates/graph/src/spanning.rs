@@ -100,32 +100,22 @@ pub fn hamilton_path_complete(n: usize) -> Vec<NodeId> {
 /// This is the constructive version of Lemma 4.6's induction (a d-dim mesh
 /// is a stack of (d−1)-dim meshes traversed alternately forwards/backwards).
 pub fn hamilton_path_mesh(dims: &[usize]) -> Vec<NodeId> {
-    let n: usize = dims.iter().product();
-    let mut order = Vec::with_capacity(n);
-    // Recursive snake: for the first axis index i, traverse the sub-mesh in
-    // forward order when i is even and reversed when odd.
-    fn rec(dims: &[usize], prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if dims.len() == prefix.len() {
-            out.push(prefix.clone());
+    // Recursive snake over the remaining axes. `idx` is the row-major index
+    // of the coordinates fixed so far and `odd` the parity of their sum: an
+    // odd sum traverses the sub-mesh backwards, so consecutive sub-mesh
+    // traversals join at adjacent cells.
+    fn snake(dims: &[usize], idx: NodeId, odd: bool, out: &mut Vec<NodeId>) {
+        let Some((&side, rest)) = dims.split_first() else {
+            out.push(idx);
             return;
-        }
-        let axis = prefix.len();
-        let side = dims[axis];
-        // Alternate direction based on the sum of earlier coordinates so that
-        // consecutive sub-mesh traversals join at adjacent cells.
-        let backwards = prefix.iter().sum::<usize>() % 2 == 1;
+        };
         for i in 0..side {
-            let c = if backwards { side - 1 - i } else { i };
-            prefix.push(c);
-            rec(dims, prefix, out);
-            prefix.pop();
+            let c = if odd { side - 1 - i } else { i };
+            snake(rest, idx * side + c, odd ^ (c % 2 == 1), out);
         }
     }
-    let mut coords = Vec::with_capacity(n);
-    rec(dims, &mut Vec::new(), &mut coords);
-    for c in coords {
-        order.push(topology::mesh_index(dims, &c));
-    }
+    let mut order = Vec::with_capacity(dims.iter().product());
+    snake(dims, 0, false, &mut order);
     order
 }
 
@@ -194,6 +184,35 @@ pub fn hamilton_or_bfs(g: &Graph, hamilton: Option<Vec<NodeId>>) -> Tree {
 mod tests {
     use super::*;
     use crate::topology;
+
+    /// The coordinate-vector snake that [`hamilton_path_mesh`] replaced.
+    fn reference_snake(dims: &[usize]) -> Vec<NodeId> {
+        fn rec(dims: &[usize], prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+            if dims.len() == prefix.len() {
+                out.push(prefix.clone());
+                return;
+            }
+            let side = dims[prefix.len()];
+            let backwards = prefix.iter().sum::<usize>() % 2 == 1;
+            for i in 0..side {
+                let c = if backwards { side - 1 - i } else { i };
+                prefix.push(c);
+                rec(dims, prefix, out);
+                prefix.pop();
+            }
+        }
+        let mut coords = Vec::new();
+        rec(dims, &mut Vec::new(), &mut coords);
+        coords.iter().map(|c| topology::mesh_index(dims, c)).collect()
+    }
+
+    #[test]
+    fn snake_matches_the_coordinate_snake() {
+        assert_eq!(hamilton_path_mesh(&[]), reference_snake(&[]));
+        for dims in topology::tests::side_vectors(4, 1..=4) {
+            assert_eq!(hamilton_path_mesh(&dims), reference_snake(&dims), "{dims:?}");
+        }
+    }
 
     #[test]
     fn bfs_tree_of_mesh_is_spanning() {

@@ -70,30 +70,44 @@ pub fn mesh_coord(dims: &[usize], mut idx: NodeId) -> Vec<usize> {
     coord
 }
 
+/// Row-major stride of each axis: stepping `coord[axis]` by one moves the
+/// [`mesh_index`] by `strides[axis]`.
+fn strides(dims: &[usize]) -> Vec<usize> {
+    let mut strides = vec![1usize; dims.len()];
+    for axis in (1..dims.len()).rev() {
+        strides[axis - 1] = strides[axis] * dims[axis];
+    }
+    strides
+}
+
+/// Step a mixed-radix coordinate to the next index in row-major order.
+fn advance(dims: &[usize], coord: &mut [usize]) {
+    for axis in (0..dims.len()).rev() {
+        coord[axis] += 1;
+        if coord[axis] < dims[axis] {
+            return;
+        }
+        coord[axis] = 0;
+    }
+}
+
 /// The d-dimensional mesh with side lengths `dims` (row-major indexing).
 ///
 /// `mesh(&[n])` is the list; `mesh(&[a, b])` the 2-D grid, and so on.
 pub fn mesh(dims: &[usize]) -> Graph {
     assert!(!dims.is_empty() && dims.iter().all(|&d| d >= 1));
     let n: usize = dims.iter().product();
-    let mut b = GraphBuilder::new(n);
+    let m: usize = dims.iter().map(|&d| n / d * (d - 1)).sum();
+    let strides = strides(dims);
+    let mut b = GraphBuilder::with_capacity(n, m);
     let mut coord = vec![0usize; dims.len()];
     for idx in 0..n {
         for axis in 0..dims.len() {
             if coord[axis] + 1 < dims[axis] {
-                let mut nb = coord.clone();
-                nb[axis] += 1;
-                b.add_edge(idx, mesh_index(dims, &nb));
+                b.add_edge(idx, idx + strides[axis]);
             }
         }
-        // Increment mixed-radix coordinate.
-        for axis in (0..dims.len()).rev() {
-            coord[axis] += 1;
-            if coord[axis] < dims[axis] {
-                break;
-            }
-            coord[axis] = 0;
-        }
+        advance(dims, &mut coord);
     }
     b.build()
 }
@@ -102,14 +116,19 @@ pub fn mesh(dims: &[usize]) -> Graph {
 pub fn torus(dims: &[usize]) -> Graph {
     assert!(dims.iter().all(|&d| d >= 3), "torus sides must be ≥ 3");
     let n: usize = dims.iter().product();
-    let mut b = GraphBuilder::new(n);
+    let strides = strides(dims);
+    let mut b = GraphBuilder::with_capacity(n, n * dims.len());
+    let mut coord = vec![0usize; dims.len()];
     for idx in 0..n {
-        let coord = mesh_coord(dims, idx);
         for axis in 0..dims.len() {
-            let mut nb = coord.clone();
-            nb[axis] = (coord[axis] + 1) % dims[axis];
-            b.add_edge(idx, mesh_index(dims, &nb));
+            let next = if coord[axis] + 1 < dims[axis] {
+                idx + strides[axis]
+            } else {
+                idx - coord[axis] * strides[axis]
+            };
+            b.add_edge(idx, next);
         }
+        advance(dims, &mut coord);
     }
     b.build()
 }
@@ -264,8 +283,79 @@ pub fn figure1() -> Graph {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The `mesh_coord`-based mesh that the stride walk replaced.
+    fn reference_mesh(dims: &[usize]) -> Graph {
+        let n: usize = dims.iter().product();
+        let mut b = GraphBuilder::new(n);
+        for idx in 0..n {
+            let coord = mesh_coord(dims, idx);
+            for axis in 0..dims.len() {
+                if coord[axis] + 1 < dims[axis] {
+                    let mut nb = coord.clone();
+                    nb[axis] += 1;
+                    b.add_edge(idx, mesh_index(dims, &nb));
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// The `mesh_coord`-based torus that the stride walk replaced.
+    fn reference_torus(dims: &[usize]) -> Graph {
+        let n: usize = dims.iter().product();
+        let mut b = GraphBuilder::new(n);
+        for idx in 0..n {
+            let coord = mesh_coord(dims, idx);
+            for axis in 0..dims.len() {
+                let mut nb = coord.clone();
+                nb[axis] = (coord[axis] + 1) % dims[axis];
+                b.add_edge(idx, mesh_index(dims, &nb));
+            }
+        }
+        b.build()
+    }
+
+    /// Every side vector of 1 to `max_axes` axes with each side in `sides`.
+    pub(crate) fn side_vectors(
+        max_axes: usize,
+        sides: std::ops::RangeInclusive<usize>,
+    ) -> Vec<Vec<usize>> {
+        let mut out = Vec::new();
+        let mut layer: Vec<Vec<usize>> = vec![vec![]];
+        for _ in 0..max_axes {
+            layer = layer
+                .iter()
+                .flat_map(|d| sides.clone().map(move |s| [&d[..], &[s]].concat()))
+                .collect();
+            out.extend(layer.iter().cloned());
+        }
+        out
+    }
+
+    fn assert_same_graph(got: &Graph, want: &Graph, dims: &[usize]) {
+        assert_eq!(got.n(), want.n(), "{dims:?}");
+        assert_eq!(got.m(), want.m(), "{dims:?}");
+        for v in 0..got.n() {
+            assert_eq!(got.neighbors(v), want.neighbors(v), "{dims:?} v={v}");
+        }
+    }
+
+    #[test]
+    fn stride_mesh_matches_the_coordinate_mesh() {
+        for dims in side_vectors(3, 1..=5) {
+            assert_same_graph(&mesh(&dims), &reference_mesh(&dims), &dims);
+        }
+    }
+
+    #[test]
+    fn stride_torus_matches_the_coordinate_torus() {
+        for dims in side_vectors(3, 3..=7) {
+            assert_same_graph(&torus(&dims), &reference_torus(&dims), &dims);
+        }
+    }
 
     #[test]
     fn complete_graph_counts() {

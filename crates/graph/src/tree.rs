@@ -13,7 +13,10 @@ use crate::{Graph, NodeId, NO_NODE};
 pub struct Tree {
     root: NodeId,
     parent: Vec<NodeId>,
-    children: Vec<Vec<NodeId>>,
+    /// Children of `v` are `children[child_off[v]..child_off[v + 1]]`, in
+    /// ascending id order.
+    child_off: Vec<usize>,
+    children: Vec<NodeId>,
     depth: Vec<u32>,
     /// Vertices in BFS order from the root (root first).
     bfs_order: Vec<NodeId>,
@@ -28,30 +31,44 @@ impl Tree {
         let n = parent.len();
         assert!(root < n, "root out of range");
         assert_eq!(parent[root], root, "parent[root] must be root");
-        let mut children = vec![Vec::new(); n];
+        // `child_off[p + 1]` counts p's children; the prefix sum turns it into
+        // the start of p's slice, which then serves as p's scatter cursor.
+        let mut child_off = vec![0usize; n + 1];
         for v in 0..n {
             assert!(parent[v] < n, "parent[{v}] out of range");
             if v != root {
                 assert_ne!(parent[v], v, "vertex {v} is a second root");
-                children[parent[v]].push(v);
+                child_off[parent[v] + 1] += 1;
             }
         }
+        for v in 0..n {
+            child_off[v + 1] += child_off[v];
+        }
+        let mut children = vec![0 as NodeId; n - 1];
+        for v in (0..n).filter(|&v| v != root) {
+            children[child_off[parent[v]]] = v;
+            child_off[parent[v]] += 1;
+        }
+        // Each cursor now sits at the start of the next slice.
+        child_off.rotate_right(1);
+        child_off[0] = 0;
         // BFS from the root computes depths and detects unreachable vertices
-        // (which would imply a cycle among non-root vertices).
+        // (which would imply a cycle among non-root vertices); `bfs_order`
+        // is its own queue.
         let mut depth = vec![u32::MAX; n];
         let mut bfs_order = Vec::with_capacity(n);
-        let mut q = std::collections::VecDeque::new();
         depth[root] = 0;
-        q.push_back(root);
-        while let Some(u) = q.pop_front() {
-            bfs_order.push(u);
-            for &c in &children[u] {
+        bfs_order.push(root);
+        let mut head = 0;
+        while let Some(&u) = bfs_order.get(head) {
+            head += 1;
+            for &c in &children[child_off[u]..child_off[u + 1]] {
                 depth[c] = depth[u] + 1;
-                q.push_back(c);
+                bfs_order.push(c);
             }
         }
         assert_eq!(bfs_order.len(), n, "parent array contains a cycle");
-        Tree { root, parent, children, depth, bfs_order }
+        Tree { root, parent, child_off, children, depth, bfs_order }
     }
 
     /// Number of vertices.
@@ -75,7 +92,7 @@ impl Tree {
     /// Children of `v`.
     #[inline]
     pub fn children(&self, v: NodeId) -> &[NodeId] {
-        &self.children[v]
+        &self.children[self.child_off[v]..self.child_off[v + 1]]
     }
 
     /// Depth of `v` (root has depth 0).
@@ -92,7 +109,7 @@ impl Tree {
     /// Whether `v` is a leaf (no children; a single-vertex tree's root is a leaf).
     #[inline]
     pub fn is_leaf(&self, v: NodeId) -> bool {
-        self.children[v].is_empty()
+        self.children(v).is_empty()
     }
 
     /// Vertices in BFS order from the root.
@@ -103,7 +120,7 @@ impl Tree {
 
     /// Degree of `v` in the tree seen as an undirected graph.
     pub fn tree_degree(&self, v: NodeId) -> usize {
-        self.children[v].len() + usize::from(v != self.root)
+        self.children(v).len() + usize::from(v != self.root)
     }
 
     /// Maximum undirected degree — Theorem 4.1 requires this to be constant.
@@ -117,7 +134,7 @@ impl Tree {
         if v != self.root {
             nb.push(self.parent[v]);
         }
-        nb.extend_from_slice(&self.children[v]);
+        nb.extend_from_slice(self.children(v));
         nb
     }
 
@@ -221,6 +238,79 @@ pub fn tree_from_pred(root: NodeId, pred: &[NodeId]) -> Tree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::prelude::*;
+    use rand::rngs::StdRng;
+
+    /// What the `Vec<Vec>` + `VecDeque` build of [`Tree::from_parents`]
+    /// produced: children lists, depths and BFS order.
+    fn reference_build(
+        root: NodeId,
+        parent: &[NodeId],
+    ) -> (Vec<Vec<NodeId>>, Vec<u32>, Vec<NodeId>) {
+        let n = parent.len();
+        let mut children = vec![Vec::new(); n];
+        for v in 0..n {
+            if v != root {
+                children[parent[v]].push(v);
+            }
+        }
+        let mut depth = vec![u32::MAX; n];
+        let mut bfs_order = Vec::with_capacity(n);
+        let mut q = std::collections::VecDeque::new();
+        depth[root] = 0;
+        q.push_back(root);
+        while let Some(u) = q.pop_front() {
+            bfs_order.push(u);
+            for &c in &children[u] {
+                depth[c] = depth[u] + 1;
+                q.push_back(c);
+            }
+        }
+        (children, depth, bfs_order)
+    }
+
+    #[test]
+    fn csr_children_match_the_reference_build() {
+        let mut rng = StdRng::seed_from_u64(0x7ee);
+        for _ in 0..500 {
+            let n = rng.random_range(1..60usize);
+            // A random recursive tree over a random vertex order.
+            let mut order: Vec<NodeId> = (0..n).collect();
+            order.shuffle(&mut rng);
+            let mut parent = vec![order[0]; n];
+            for i in 1..n {
+                parent[order[i]] = order[rng.random_range(0..i)];
+            }
+            let root = order[0];
+            let t = Tree::from_parents(root, parent.clone());
+            let (children, depth, bfs_order) = reference_build(root, &parent);
+            for v in 0..n {
+                assert_eq!(t.children(v), &children[v][..], "parent={parent:?} v={v}");
+                assert_eq!(t.depth(v), depth[v]);
+            }
+            assert_eq!(t.bfs_order(), &bfs_order[..]);
+            assert_eq!(t.height(), depth.iter().copied().max().unwrap());
+            let mut size = vec![1usize; n];
+            for &v in bfs_order.iter().rev() {
+                if v != root {
+                    size[parent[v]] += size[v];
+                }
+            }
+            assert_eq!(t.subtree_sizes(), size);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "parent[2] out of range")]
+    fn out_of_range_parent_detected() {
+        Tree::from_parents(0, vec![0, 0, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "parent[root] must be root")]
+    fn root_with_a_parent_detected() {
+        Tree::from_parents(0, vec![1, 0]);
+    }
 
     fn sample_tree() -> Tree {
         // 0 is root; 1,2 children of 0; 3,4 children of 1; 5 child of 4.

@@ -1112,11 +1112,23 @@ fn parse_topo(token: &str) -> Result<TopoSpec, String> {
         "mesh2d" => TopoSpec::Mesh2D { side: p(0, 8) },
         "mesh3d" => TopoSpec::Mesh3D { side: p(0, 4) },
         "hypercube" => TopoSpec::Hypercube { dim: p(0, 6) },
-        "tree" => TopoSpec::PerfectTree { m: p(0, 2), depth: p(1, 5) },
+        "tree" => {
+            let m = p(0, 2);
+            if m < 2 {
+                return Err(format!("tree needs arity m ≥ 2, got m={m} in `{token}`"));
+            }
+            TopoSpec::PerfectTree { m, depth: p(1, 5) }
+        }
         "star" => TopoSpec::Star { n: p(0, 64) },
         "caterpillar" => TopoSpec::Caterpillar { spine: p(0, 32), legs: p(1, 2) },
         "figure1" => TopoSpec::Figure1,
-        "torus2d" => TopoSpec::Torus2D { side: p(0, 8) },
+        "torus2d" => {
+            let side = p(0, 8);
+            if side < 3 {
+                return Err(format!("torus2d needs side ≥ 3, got side={side} in `{token}`"));
+            }
+            TopoSpec::Torus2D { side }
+        }
         "random-regular" => {
             let (n, d) = (p(0, 64), p(1, 4));
             if d >= n || !(n * d).is_multiple_of(2) {

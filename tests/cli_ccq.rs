@@ -248,6 +248,21 @@ fn unknown_inputs_fail_loudly() {
     let bad_topo = ccq(&["sweep", "--topo", "klein-bottle"]);
     assert_eq!(bad_topo.status.code(), Some(2));
 
+    // Parameters a generator cannot build are rejected at parse time, not
+    // left to panic inside the generator.
+    for (token, needle) in [
+        ("torus2d:0", "≥ 1"),
+        ("torus2d:1", "torus2d needs side ≥ 3"),
+        ("torus2d:2", "torus2d needs side ≥ 3"),
+        ("tree:1", "tree needs arity m ≥ 2"),
+        ("tree:1:3", "tree needs arity m ≥ 2"),
+    ] {
+        let out = ccq(&["sweep", "--topo", token]);
+        assert_eq!(out.status.code(), Some(2), "`{token}` should fail");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(stderr.contains(needle), "`{token}`: stderr `{stderr}` misses `{needle}`");
+    }
+
     let bad_exp = ccq(&["run", "--exp", "t99"]);
     assert_eq!(bad_exp.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&bad_exp.stderr).contains("unknown experiment"));
