@@ -3,10 +3,14 @@
 //! parallel and summarized.
 //!
 //! [`RunPlan`] is the builder; [`RunPlan::execute`] materializes every
-//! [`RunCase`], runs them rayon-parallel (grouped so each scenario is built
-//! once), and returns a [`RunSet`]: per-case [`CaseResult`]s plus
-//! queuing-vs-counting [`GroupSummary`]s. Everything is deterministic under
-//! the plan's seed, and the whole set serializes to JSON. Open-system
+//! [`RunCase`], runs them all off one parallel work queue, and returns a
+//! [`RunSet`]: per-case [`CaseResult`]s plus queuing-vs-counting
+//! [`GroupSummary`]s. Cases that share a scenario (same topology, pattern,
+//! arrival, admission, priority, faults, shards and repeat) share one
+//! [`Scenario`], built by the first of them to start and dropped when the
+//! last one finishes. Everything is deterministic under the plan's seed —
+//! no case reads another's state, and results are reassembled in case
+//! order — and the whole set serializes to JSON. Open-system
 //! dimensions ([`RunPlan::arrivals`], [`RunPlan::delays`]) default to the
 //! paper's one-shot batch on unit-delay wires, so existing plans reproduce
 //! the pre-open-system reports exactly.
@@ -36,6 +40,7 @@ use crate::table::Table;
 use ccq_sim::{Checkpoint, LinkDelay, NodeDigest, PhaseTimings, ProbeSpec};
 use rayon::prelude::*;
 use serde::Serialize;
+use std::sync::{Arc, Mutex};
 
 /// How a plan assigns execution modes to cases.
 #[derive(Clone, Debug)]
@@ -498,20 +503,39 @@ impl RunPlan {
             .collect()
     }
 
-    /// Execute every case (parallel across scenarios, each scenario built
-    /// once) and summarize. Deterministic under the plan's seed.
+    /// Execute every case and summarize. Deterministic under the plan's
+    /// seed.
+    ///
+    /// Every case of the plan is one job on a single parallel work queue
+    /// (one worker per available CPU; inline on a single CPU), handed out
+    /// in case order. A case group's [`Scenario`] is built once, by the
+    /// first of its cases to start, shared by reference with the rest, and
+    /// dropped when the group's last case finishes; a group's cases are
+    /// contiguous in the queue, so about one scenario per worker is live
+    /// at a time. Results come back in case order, and each group's
+    /// summaries are built from its results once every case has run.
     pub fn execute(&self) -> RunSet {
         let groups = self.work_groups();
-        let executed: Vec<(Vec<CaseResult>, Vec<GroupSummary>)> =
-            groups.par_iter().map(run_group).collect();
-
-        let mut cases = Vec::new();
-        let mut summaries = Vec::new();
-        for (group_cases, group_summaries) in executed {
-            cases.extend(group_cases);
-            summaries.extend(group_summaries);
-        }
+        let slots: Vec<ScenarioSlot> =
+            groups.iter().map(|g| ScenarioSlot::new(g.runs.len())).collect();
+        let jobs: Vec<(usize, usize)> = groups
+            .iter()
+            .enumerate()
+            .flat_map(|(g, group)| (0..group.runs.len()).map(move |r| (g, r)))
+            .collect();
+        let mut cases: Vec<CaseResult> = jobs
+            .par_iter()
+            .map(|&(g, r)| {
+                let group = &groups[g];
+                let scenario = slots[g].acquire(group);
+                let result = run_case(group, &group.runs[r], &scenario);
+                drop(scenario);
+                slots[g].release();
+                result
+            })
+            .collect();
         cases.sort_by_key(|c| c.case);
+        let summaries = summarize_groups(&groups, &cases);
         RunSet { plan: self.describe(), cases, summaries }
     }
 
@@ -551,129 +575,179 @@ struct WorkGroup {
     serial_transmit: bool,
     probe: ProbeSpec,
     repeat: usize,
-    runs: Vec<(usize, Box<dyn ProtocolSpec>, ModelMode, LinkDelay)>,
+    runs: Vec<Run>,
 }
 
-fn run_group(group: &WorkGroup) -> (Vec<CaseResult>, Vec<GroupSummary>) {
-    let scenario =
-        Scenario::build_with(group.topo.clone(), group.pattern.clone(), group.arrival.clone())
-            .with_admission(group.admission)
-            .with_priority(group.priority)
-            .with_faults(group.faults.clone())
-            .with_shards(group.shards)
-            .with_parallel_apply(group.parallel_apply)
-            .with_dense_scan(group.dense_scan)
-            .with_wavefront(group.wavefront)
-            .with_serial_transmit(group.serial_transmit)
-            .with_probe(group.probe);
-    let mut results = Vec::with_capacity(group.runs.len());
-    for (index, spec, mode, delay) in &group.runs {
-        let base = CaseResult {
-            case: *index,
-            topology: group.topo.name(),
-            n: scenario.n(),
-            k: scenario.k(),
-            protocol: spec.name().to_string(),
-            kind: spec.kind(),
-            mode: *mode,
-            pattern: group.pattern.name(),
-            arrival: group.arrival.name(),
-            delay: delay.name(),
-            admission: group.admission.name(),
-            priority: group.priority.name(),
-            faults: group.faults.name(),
-            shards: group.shards.name(),
-            repeat: group.repeat,
-            width: spec.effective_width(scenario.n()),
-            ok: false,
-            error: None,
-            total_delay: 0,
-            messages: 0,
-            max_contention: 0,
-            throughput: 0.0,
-            goodput: 0.0,
-            latency_p50: 0,
-            latency_p95: 0,
-            latency_p99: 0,
-            qqc_max: 0,
-            qqc_mean: 0.0,
-            qqc_p50: 0,
-            qqc_p95: 0,
-            qqc_p99: 0,
-            backlog: 0,
-            dropped: 0,
-            delayed_admissions: 0,
-            cross_shard_messages: 0,
-            metrics: None,
-            classes: None,
-            fault_summary: None,
-            phase_timing: None,
-            checkpoints: None,
-            node_digests: None,
-        };
-        let result = match run_spec_with(spec.as_ref(), &scenario, *mode, *delay) {
-            Ok(out) => {
-                // One flattening pass: the percentile fields echo `metrics`
-                // (the latency distribution is computed once in from_sim).
-                // QQC lateness is derived from the verified output order,
-                // which only exists on this success path.
-                let m = DelayReport::from_sim_with_order(&out.alg, &out.report, &out.order);
-                CaseResult {
-                    ok: true,
-                    total_delay: m.total_delay,
-                    messages: m.messages,
-                    max_contention: m.max_queue,
-                    throughput: m.throughput,
-                    goodput: m.goodput,
-                    latency_p50: m.latency_p50,
-                    latency_p95: m.latency_p95,
-                    latency_p99: m.latency_p99,
-                    qqc_max: m.qqc_max,
-                    qqc_mean: m.qqc_mean,
-                    qqc_p50: m.qqc_p50,
-                    qqc_p95: m.qqc_p95,
-                    qqc_p99: m.qqc_p99,
-                    backlog: m.backlog_high_water,
-                    dropped: m.dropped,
-                    delayed_admissions: m.delayed_admissions,
-                    cross_shard_messages: m.cross_shard_messages,
-                    metrics: Some(m),
-                    classes: {
-                        let cm = ClassMetrics::from_sim_with_order(&out.report, &out.order);
-                        (!cm.is_empty()).then_some(cm)
-                    },
-                    fault_summary: FaultSummary::from_sim(&out.report),
-                    phase_timing: out.report.phase_timing,
-                    checkpoints: (!out.report.checkpoints.is_empty())
-                        .then(|| out.report.checkpoints.clone()),
-                    node_digests: (!out.report.node_digests.is_empty())
-                        .then(|| out.report.node_digests.clone()),
-                    ..base
-                }
-            }
-            Err(e) => CaseResult { error: Some(e.to_string()), ..base },
-        };
-        results.push(result);
+impl WorkGroup {
+    /// The scenario every case of the group runs on.
+    fn scenario(&self) -> Scenario {
+        Scenario::build_with(self.topo.clone(), self.pattern.clone(), self.arrival.clone())
+            .with_admission(self.admission)
+            .with_priority(self.priority)
+            .with_faults(self.faults.clone())
+            .with_shards(self.shards)
+            .with_parallel_apply(self.parallel_apply)
+            .with_dense_scan(self.dense_scan)
+            .with_wavefront(self.wavefront)
+            .with_serial_transmit(self.serial_transmit)
+            .with_probe(self.probe)
     }
-    // One crossover summary per delay policy — pooling across delay
-    // regimes would let the fastest wires decide the verdict.
-    let mut delays: Vec<LinkDelay> = Vec::new();
-    for &(_, _, _, d) in &group.runs {
-        if !delays.contains(&d) {
-            delays.push(d);
+
+    /// The delay policies of the group's runs, in first-appearance order.
+    /// Each gets its own crossover summary: pooling across delay regimes
+    /// would let the fastest wires decide the verdict.
+    fn delays(&self) -> Vec<LinkDelay> {
+        let mut delays: Vec<LinkDelay> = Vec::new();
+        for &(_, _, _, d) in &self.runs {
+            if !delays.contains(&d) {
+                delays.push(d);
+            }
+        }
+        delays
+    }
+}
+
+/// A group's scenario while [`RunPlan::execute`] runs its cases: built by
+/// the first case to [`acquire`](Self::acquire) it, released by each case
+/// when it finishes, and dropped after the last release.
+struct ScenarioSlot {
+    /// The scenario (`None` before the group's first case starts and after
+    /// its last finishes) and the number of the group's unfinished cases.
+    state: Mutex<(Option<Arc<Scenario>>, usize)>,
+}
+
+const SLOT_POISONED: &str = "a case panicked while holding its group's scenario slot";
+
+impl ScenarioSlot {
+    fn new(cases: usize) -> Self {
+        ScenarioSlot { state: Mutex::new((None, cases)) }
+    }
+
+    /// The group's scenario, built now if no case of the group has started.
+    /// Concurrent callers wait for the one build.
+    fn acquire(&self, group: &WorkGroup) -> Arc<Scenario> {
+        let mut state = self.state.lock().expect(SLOT_POISONED);
+        Arc::clone(state.0.get_or_insert_with(|| Arc::new(group.scenario())))
+    }
+
+    /// One case of the group is done; the last drops the scenario.
+    fn release(&self) {
+        let mut state = self.state.lock().expect(SLOT_POISONED);
+        state.1 -= 1;
+        if state.1 == 0 {
+            state.0 = None;
         }
     }
-    let summaries =
-        delays.into_iter().map(|delay| summarize(&scenario, group, delay, &results)).collect();
-    (results, summaries)
 }
 
-fn summarize(
-    scenario: &Scenario,
-    group: &WorkGroup,
-    delay: LinkDelay,
-    results: &[CaseResult],
-) -> GroupSummary {
+type Run = (usize, Box<dyn ProtocolSpec>, ModelMode, LinkDelay);
+
+/// Run one case of `group` on the group's `scenario`.
+fn run_case(group: &WorkGroup, run: &Run, scenario: &Scenario) -> CaseResult {
+    let (index, spec, mode, delay) = run;
+    let base = CaseResult {
+        case: *index,
+        topology: group.topo.name(),
+        n: scenario.n(),
+        k: scenario.k(),
+        protocol: spec.name().to_string(),
+        kind: spec.kind(),
+        mode: *mode,
+        pattern: group.pattern.name(),
+        arrival: group.arrival.name(),
+        delay: delay.name(),
+        admission: group.admission.name(),
+        priority: group.priority.name(),
+        faults: group.faults.name(),
+        shards: group.shards.name(),
+        repeat: group.repeat,
+        width: spec.effective_width(scenario.n()),
+        ok: false,
+        error: None,
+        total_delay: 0,
+        messages: 0,
+        max_contention: 0,
+        throughput: 0.0,
+        goodput: 0.0,
+        latency_p50: 0,
+        latency_p95: 0,
+        latency_p99: 0,
+        qqc_max: 0,
+        qqc_mean: 0.0,
+        qqc_p50: 0,
+        qqc_p95: 0,
+        qqc_p99: 0,
+        backlog: 0,
+        dropped: 0,
+        delayed_admissions: 0,
+        cross_shard_messages: 0,
+        metrics: None,
+        classes: None,
+        fault_summary: None,
+        phase_timing: None,
+        checkpoints: None,
+        node_digests: None,
+    };
+    match run_spec_with(spec.as_ref(), scenario, *mode, *delay) {
+        Ok(out) => {
+            // One flattening pass: the percentile fields echo `metrics`
+            // (the latency distribution is computed once in from_sim).
+            // QQC lateness is derived from the verified output order,
+            // which only exists on this success path.
+            let m = DelayReport::from_sim_with_order(&out.alg, &out.report, &out.order);
+            CaseResult {
+                ok: true,
+                total_delay: m.total_delay,
+                messages: m.messages,
+                max_contention: m.max_queue,
+                throughput: m.throughput,
+                goodput: m.goodput,
+                latency_p50: m.latency_p50,
+                latency_p95: m.latency_p95,
+                latency_p99: m.latency_p99,
+                qqc_max: m.qqc_max,
+                qqc_mean: m.qqc_mean,
+                qqc_p50: m.qqc_p50,
+                qqc_p95: m.qqc_p95,
+                qqc_p99: m.qqc_p99,
+                backlog: m.backlog_high_water,
+                dropped: m.dropped,
+                delayed_admissions: m.delayed_admissions,
+                cross_shard_messages: m.cross_shard_messages,
+                metrics: Some(m),
+                classes: {
+                    let cm = ClassMetrics::from_sim_with_order(&out.report, &out.order);
+                    (!cm.is_empty()).then_some(cm)
+                },
+                fault_summary: FaultSummary::from_sim(&out.report),
+                phase_timing: out.report.phase_timing,
+                checkpoints: (!out.report.checkpoints.is_empty())
+                    .then(|| out.report.checkpoints.clone()),
+                node_digests: (!out.report.node_digests.is_empty())
+                    .then(|| out.report.node_digests.clone()),
+                ..base
+            }
+        }
+        Err(e) => CaseResult { error: Some(e.to_string()), ..base },
+    }
+}
+
+/// One crossover summary per (group, delay policy), in group order and
+/// then in [`WorkGroup::delays`] order. `cases` is the whole plan's
+/// results in case order; a group's cases are a contiguous run of it.
+fn summarize_groups(groups: &[WorkGroup], cases: &[CaseResult]) -> Vec<GroupSummary> {
+    let mut summaries = Vec::new();
+    let mut start = 0;
+    for group in groups {
+        let results = &cases[start..start + group.runs.len()];
+        start += group.runs.len();
+        summaries.extend(group.delays().into_iter().map(|delay| summarize(group, delay, results)));
+    }
+    summaries
+}
+
+/// The crossover summary of one group's `results` (nonempty) under `delay`.
+fn summarize(group: &WorkGroup, delay: LinkDelay, results: &[CaseResult]) -> GroupSummary {
     let delay_name = delay.name();
     let best_of = |kind: ProtocolKind| -> Option<&CaseResult> {
         results
@@ -699,8 +773,8 @@ fn summarize(
         faults: group.faults.name(),
         shards: group.shards.name(),
         repeat: group.repeat,
-        n: scenario.n(),
-        k: scenario.k(),
+        n: results[0].n,
+        k: results[0].k,
         best_queuing: q.map(|c| c.protocol.clone()),
         best_queuing_delay: q.map(|c| c.total_delay),
         best_queuing_goodput: q.map(|c| c.goodput),
@@ -1083,6 +1157,85 @@ impl RunSet {
 mod tests {
     use super::*;
     use crate::protocol;
+
+    /// The group-by-group executor the work queue replaced, kept as a
+    /// sequential reference: one group at a time, its scenario built once,
+    /// its cases in order, then its summaries from that scenario's runs.
+    fn execute_by_group(plan: &RunPlan) -> RunSet {
+        let mut cases = Vec::new();
+        let mut summaries = Vec::new();
+        for group in &plan.work_groups() {
+            let scenario = group.scenario();
+            let results: Vec<CaseResult> =
+                group.runs.iter().map(|run| run_case(group, run, &scenario)).collect();
+            for delay in group.delays() {
+                let summary = summarize(group, delay, &results);
+                assert_eq!((summary.n, summary.k), (scenario.n(), scenario.k()));
+                summaries.push(summary);
+            }
+            cases.extend(results);
+        }
+        RunSet { plan: plan.describe(), cases, summaries }
+    }
+
+    #[test]
+    fn work_queue_matches_the_sequential_reference() {
+        use crate::scenario::ShardStrategy;
+        let protocols = [
+            &protocol::Arrow as &dyn ProtocolSpec,
+            &protocol::CentralQueue,
+            &protocol::CentralCounter,
+            &protocol::CombiningTree,
+            &protocol::CrdtCounter,
+        ];
+        let plans = [
+            // 3 topologies × 2 patterns × 2 arrivals × 2 repeats = 24
+            // groups, far more than workers, each with two delay summaries.
+            RunPlan::new()
+                .topologies([
+                    TopoSpec::Torus2D { side: 4 },
+                    TopoSpec::Mesh2D { side: 3 },
+                    TopoSpec::List { n: 7 },
+                ])
+                .protocols(protocols)
+                .patterns([RequestPattern::All, RequestPattern::Random { density: 0.5, seed: 3 }])
+                .arrivals([
+                    ArrivalSpec::Poisson { rate: 0.5, seed: 1 },
+                    ArrivalSpec::Hotspot { rate: 0.5, s: 1.2, seed: 2 },
+                ])
+                .delays([LinkDelay::Unit, LinkDelay::Jitter { max: 3, seed: 9 }])
+                .repeats(2)
+                .seed(11),
+            // Backpressure, a crash and a sharded group next to an
+            // unsharded one, with checkpoints.
+            RunPlan::new()
+                .topologies([TopoSpec::Torus2D { side: 4 }])
+                .arrivals([ArrivalSpec::Poisson { rate: 0.8, seed: 5 }])
+                .admissions([AdmissionSpec::Open, AdmissionSpec::DropTail { bound: 2 }])
+                .faults([FaultSpec::none(), FaultSpec::none().crash(3, 4, 12)])
+                .shards([ShardSpec::single(), ShardSpec::new(2, ShardStrategy::Contiguous)])
+                .checkpoint_every(5),
+            // Wavefront needs shards: the unsharded group's cases fail.
+            RunPlan::new()
+                .topologies([TopoSpec::Torus2D { side: 4 }])
+                .protocols(protocols)
+                .shards([ShardSpec::single(), ShardSpec::new(2, ShardStrategy::Contiguous)])
+                .wavefront(Some(1)),
+        ];
+        let sets: Vec<RunSet> = plans.iter().map(RunPlan::execute).collect();
+        for (i, (plan, set)) in plans.iter().zip(&sets).enumerate() {
+            assert_eq!(set.to_json(), execute_by_group(plan).to_json(), "plan {i}");
+            assert!(!set.summaries.is_empty(), "plan {i}");
+        }
+        assert!(sets[0].cases.iter().all(|c| c.ok));
+        assert!(sets[1].cases.iter().any(|c| c.dropped > 0), "droptail must shed");
+        assert!(sets[1].cases.iter().any(|c| c.fault_summary.is_some()));
+        assert!(sets[1].cases.iter().any(|c| c.cross_shard_messages > 0));
+        assert!(sets[1].cases.iter().any(|c| c.checkpoints.is_some()));
+        let (failed, ran): (Vec<&CaseResult>, _) = sets[2].cases.iter().partition(|c| !c.ok);
+        assert!(failed.iter().all(|c| c.shards == "1" && c.error.is_some()));
+        assert_eq!((failed.len(), ran.len()), (protocols.len(), protocols.len()));
+    }
 
     #[test]
     fn cross_product_shape() {

@@ -28,6 +28,7 @@
 pub mod central;
 pub mod combining;
 pub mod crdt;
+mod hosts;
 pub mod network;
 pub mod ranks;
 pub mod toggle;

@@ -14,7 +14,8 @@
 //! hot balancers is measured by the simulator's receive budget.
 
 use super::net::{BalancingNetwork, WireDest};
-use ccq_graph::{bfs, Graph, NodeId, Tree, TreeRouter};
+use crate::hosts::HostRoutes;
+use ccq_graph::{Graph, NodeId, Tree, TreeRouter};
 use ccq_sim::{NodeSliced, Protocol, SimApi, SliceApi};
 
 /// Messages of the counting-network protocol.
@@ -37,10 +38,8 @@ pub struct CountingNetworkShared {
     local_toggle: Vec<usize>,
     /// Output position → slot within its exit host's `exit_counts`.
     local_exit: Vec<usize>,
-    /// Dense host indexing: node → slot in `next_to_host` (usize::MAX = not a host).
-    host_slot: Vec<usize>,
-    /// `next_to_host[s][u]` = next hop from `u` towards host with slot `s`.
-    next_to_host: Vec<Vec<NodeId>>,
+    /// Next hops toward every balancer and exit host.
+    routes: HostRoutes,
     router: TreeRouter,
 }
 
@@ -83,18 +82,7 @@ impl CountingNetworkProtocol {
         let host: Vec<NodeId> = (0..net.balancers().len()).map(|b| b % n).collect();
         let exit_host: Vec<NodeId> = (0..width).map(|j| host[net.output_producer(j)]).collect();
 
-        // BFS next-hop tables toward every distinct host.
-        let mut host_slot = vec![usize::MAX; n];
-        let mut next_to_host: Vec<Vec<NodeId>> = Vec::new();
-        for &h in host.iter().chain(exit_host.iter()) {
-            if host_slot[h] == usize::MAX {
-                host_slot[h] = next_to_host.len();
-                // Predecessor toward h: one BFS from h gives, for each u,
-                // the first hop of a shortest path u → h.
-                let (_, pred) = bfs::bfs_tree_arrays(graph, h);
-                next_to_host.push(pred);
-            }
-        }
+        let routes = HostRoutes::new(graph, host.iter().chain(&exit_host).copied());
 
         // Group balancer toggles and exit counters under their hosting
         // processors; local slots are assigned in balancer/output order.
@@ -119,8 +107,7 @@ impl CountingNetworkProtocol {
                 exit_host,
                 local_toggle,
                 local_exit,
-                host_slot,
-                next_to_host,
+                routes,
                 router: TreeRouter::new(tree),
                 net,
             },
@@ -157,9 +144,7 @@ impl CountingNetworkProtocol {
         host: NodeId,
         msg: CnMsg,
     ) {
-        let slot = shared.host_slot[host];
-        let next = shared.next_to_host[slot][at];
-        api.send(next, msg);
+        api.send(shared.routes.next_hop(at, host), msg);
     }
 
     /// Advance a token as far as possible at processor `u`, then either

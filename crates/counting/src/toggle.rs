@@ -18,7 +18,8 @@
 //! round-robin, tokens travel via BFS next-hop tables, results return along
 //! the spanning tree.
 
-use ccq_graph::{bfs, Graph, NodeId, Tree, TreeRouter};
+use crate::hosts::HostRoutes;
+use ccq_graph::{Graph, NodeId, Tree, TreeRouter};
 use ccq_sim::{NodeSliced, Protocol, SimApi, SliceApi};
 
 /// Messages of the toggle-tree protocol.
@@ -41,8 +42,8 @@ pub struct ToggleTreeShared {
     /// Heap index → slot within its host's slice (`toggles` for internal
     /// nodes, `leaf_counts` for leaves).
     local_slot: Vec<usize>,
-    host_slot: Vec<usize>,
-    next_to_host: Vec<Vec<NodeId>>,
+    /// Next hops toward every hosting processor.
+    routes: HostRoutes,
     router: TreeRouter,
 }
 
@@ -82,16 +83,7 @@ impl ToggleTreeProtocol {
         let depth = leaves.trailing_zeros();
         let total_nodes = 2 * leaves - 1;
         let host: Vec<NodeId> = (0..total_nodes).map(|i| i % n).collect();
-
-        let mut host_slot = vec![usize::MAX; n];
-        let mut next_to_host: Vec<Vec<NodeId>> = Vec::new();
-        for &h in &host {
-            if host_slot[h] == usize::MAX {
-                host_slot[h] = next_to_host.len();
-                let (_, pred) = bfs::bfs_tree_arrays(graph, h);
-                next_to_host.push(pred);
-            }
-        }
+        let routes = HostRoutes::new(graph, host.iter().copied());
         // Leaf at heap position `leaves−1+p` sits at the end of the
         // root-to-leaf path whose toggle decisions spell p's bits
         // (MSB-first); the i-th root token reaches the leaf whose MSB-first
@@ -122,8 +114,7 @@ impl ToggleTreeProtocol {
                 leaf_base,
                 host,
                 local_slot,
-                host_slot,
-                next_to_host,
+                routes,
                 router: TreeRouter::new(tree),
             },
             slices,
@@ -146,7 +137,7 @@ impl ToggleTreeProtocol {
         host: NodeId,
         msg: ToggleMsg,
     ) {
-        let next = shared.next_to_host[shared.host_slot[host]][at];
+        let next = shared.routes.next_hop(at, host);
         debug_assert_ne!(next, at);
         api.send(next, msg);
     }

@@ -28,6 +28,13 @@
 //! wire due at round `r` was transmitted — and numbered — before any ring
 //! wire due at `r`: draining a round's overflow batch before its ring batch
 //! keeps the (arrival, sequence) order.
+//!
+//! Batches are recycled rather than kept in place: a drained ring batch
+//! goes onto a spare list with its capacity, and a ring slot that has none
+//! takes a spare before it allocates. The wheel therefore holds about as
+//! many batches as rounds in flight (two under unit delay) instead of
+//! growing all 64 slots to the largest round's traffic, and steady state
+//! still allocates nothing.
 
 use crate::report::LinkDelay;
 use crate::Round;
@@ -59,9 +66,11 @@ pub struct Transport<M> {
     /// First arrival round not yet drained: the ring's window start.
     base: Round,
     /// `ring[r % RING]` holds the wires arriving at round `r` for `r` in
-    /// `base..base + RING`, in transmission (= sequence) order. Drained
-    /// slots keep their capacity, so steady state does not allocate.
+    /// `base..base + RING`, in transmission (= sequence) order. A drained
+    /// slot hands its batch to `spare`.
     ring: Vec<Vec<Wire<M>>>,
+    /// Empty batches with capacity, taken by ring slots that have none.
+    spare: Vec<Vec<Wire<M>>>,
     /// Number of wires in the ring.
     ring_len: usize,
     /// Wires arriving outside the ring's window, keyed by arrival round;
@@ -78,6 +87,7 @@ impl<M> Transport<M> {
             delay,
             base: 0,
             ring: (0..RING).map(|_| Vec::new()).collect(),
+            spare: Vec::new(),
             ring_len: 0,
             overflow: BTreeMap::new(),
             link_last: HashMap::new(),
@@ -97,7 +107,13 @@ impl<M> Transport<M> {
         }
         let wire = Wire { src, dst, arrival, seq, msg };
         if arrival >= self.base && arrival - self.base < RING {
-            self.ring[(arrival % RING) as usize].push(wire);
+            let slot = &mut self.ring[(arrival % RING) as usize];
+            if slot.capacity() == 0 {
+                if let Some(batch) = self.spare.pop() {
+                    *slot = batch;
+                }
+            }
+            slot.push(wire);
             self.ring_len += 1;
         } else {
             self.overflow.entry(arrival).or_default().push(wire);
@@ -126,10 +142,13 @@ impl<M> Transport<M> {
                 }
             }
             if next >= self.base {
-                let slot = &mut self.ring[(next % RING) as usize];
-                self.ring_len -= slot.len();
-                for w in slot.drain(..) {
+                let mut batch = std::mem::take(&mut self.ring[(next % RING) as usize]);
+                self.ring_len -= batch.len();
+                for w in batch.drain(..) {
                     sink(w);
+                }
+                if batch.capacity() > 0 {
+                    self.spare.push(batch);
                 }
                 if next == Round::MAX {
                     break;
@@ -267,6 +286,35 @@ mod tests {
             assert_eq!(got, want, "case {case} ({delay:?}), final drain");
             assert!(t.is_idle());
             t.drain_due(u64::MAX, |_| panic!("nothing left in flight"));
+        }
+    }
+
+    /// Steady traffic keeps only the batches of the rounds in flight:
+    /// every round's arrivals are drained into the spare list and reused,
+    /// so the ring never grows a slot per round of the window.
+    #[test]
+    fn drained_batches_are_recycled() {
+        for delay in [1, 3] {
+            let policy = if delay == 1 { LinkDelay::Unit } else { LinkDelay::Fixed { delay } };
+            let mut t: Transport<u32> = Transport::new(policy);
+            let held = |t: &Transport<u32>| {
+                t.ring.iter().filter(|b| b.capacity() > 0).count() + t.spare.len()
+            };
+            let (mut seq, mut drained) = (0u64, 0u64);
+            for round in 0..500 {
+                t.drain_due(round, |w| {
+                    assert_eq!(w.arrival, round);
+                    drained += 1;
+                });
+                assert!(held(&t) as u64 <= delay + 1, "{policy:?} round {round}: {}", held(&t));
+                for i in 0..1 + round % 7 {
+                    seq += 1;
+                    t.transmit(i as NodeId, i as NodeId + 1, seq as u32, round, seq);
+                }
+                assert!(held(&t) as u64 <= delay + 1, "{policy:?} round {round}: {}", held(&t));
+            }
+            t.drain_due(Round::MAX, |_| drained += 1);
+            assert_eq!(drained, seq);
         }
     }
 
